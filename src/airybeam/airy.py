@@ -1,26 +1,35 @@
 """Real-argument Airy functions Ai, Bi, their derivatives, and Ci = Bi + i*Ai.
 
-Self-contained implementation (no scipy.special) so that the quadrature
-oracles elsewhere in the package remain fully independent of it.  Three
-evaluation branches:
+Every function takes a float or a NumPy array of any shape and returns the
+same shape; a float in gives NumPy float64 scalars out.  Three branches:
 
-* power series / Taylor stepping of the ODE y'' = x*y on the middle range
-  |x| <= 9 (stepping toward the growing solution keeps it stable: Bi is
-  propagated outward from 0, Ai inward from an anchor at x = 12),
-* scaled large-x asymptotic expansions for x >= 9,
-* oscillatory asymptotic expansions for x <= -9.
+* ``scipy.special.airy`` for x > -X_SWITCH, and ``scipy.special.airye`` for
+  the exponentially scaled values of ``airy_scaled``.  Both match the frozen
+  mpmath panel of ``tests/airy_reference.py`` to ~1e-13 relative.
+* oscillatory asymptotic expansions for x <= -X_SWITCH: scipy returns NaN
+  below x ~ -2**20, and detector geometries reach x ~ -1e7.  Phase fidelity
+  degrades slowly there as eps * |x|^(3/2).
+* the asymptotic difference series of the emission bracket
+  Ai'^2 - x Ai^2 for x > 8, where the two terms cancel to O(1/zeta) even
+  when the values are exponentially scaled.
 
-Accuracy is ~1e-13 relative on the middle range and ~1e-12 near the
-switchovers, comfortably inside the 1e-10 budget the Green-function layer
-assumes.  Arguments above X_MAX raise (Bi overflows there); arbitrarily
-negative arguments are allowed, with phase fidelity degrading slowly as
-eps * |x|^(3/2).
+The asymptotic series are summed from a precomputed coefficient vector u_k:
+the powers zeta^-k of up to _BLOCK points at a time form one term matrix,
+each point's terms past its truncation index are masked off, and the rest
+are summed in order of k.  A scalar costs a few dozen NumPy calls however
+many terms it needs, and memory stays bounded for any number of points.
+
+Arguments above X_MAX raise RangeError in ``airy_all`` (Bi overflows
+there); a NaN anywhere in the input raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
 
 from .errors import DomainError, RangeError
 
@@ -34,168 +43,135 @@ __all__ = [
     "X_SWITCH",
 ]
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3), Bi = sqrt(3)-partners
-_AI0 = 0.35502805388781723926
-_AIP0 = -0.25881940379280679840
-_BI0 = 0.61492662744600073515
-_BIP0 = 0.44828835735382635791
-
 _SQRT_PI = math.sqrt(math.pi)
 
 X_MAX = 100.0          # beyond this exp(zeta) in Bi nears double overflow
-X_SWITCH = 9.0         # series/asymptotic handover, both signs
-_AI_ANCHOR = 12.0      # Ai on (1, 9) is stepped down from here
-_STEP = 0.5
-_MAX_TERMS = 60
+X_SWITCH = 9.0         # scipy / oscillatory-asymptotic handover at -X_SWITCH
+_BRACKET_SERIES = 8.0  # the emission bracket comes from its series above this
+
+
+def _series_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """u_k and v_k = u_k (6k+1)/(1-6k) of the Airy asymptotic expansions."""
+    u = np.empty(n)
+    u[0] = 1.0
+    for k in range(1, n):
+        u[k] = u[k - 1] * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)
+                           / (216.0 * k * (2 * k - 1)))
+    k = np.arange(n)
+    return u, u * (6 * k + 1) / (1 - 6 * k)
+
+
+# The smallest series argument is zeta = 2/3 * 8^1.5 ~ 15; its terms start
+# growing near k = 2 zeta ~ 30, so 60 terms always reach the truncation point.
+_TERMS = 60
+_BLOCK = 1024          # points per (points, _TERMS) term matrix: 480 kB
+_U, _V = _series_coefficients(_TERMS)
+_K = np.arange(_TERMS)
+_ALTERNATING = (-1.0) ** _K
+_EVEN = _K % 2 == 0
+_QUARTER_PHASE = (-1.0) ** (_K // 2)
+# rows of the oscillatory sums P, Q (from u_k) and R, S (from v_k): even and
+# odd k, each with the phase (-1)^(k//2)
+_SPLIT_ROWS = np.array([
+    np.where(_EVEN, _QUARTER_PHASE * _U, 0.0),
+    np.where(_EVEN, 0.0, _QUARTER_PHASE * _U),
+    np.where(_EVEN, _QUARTER_PHASE * _V, 0.0),
+    np.where(_EVEN, 0.0, _QUARTER_PHASE * _V),
+])
+# the alternating sums of u_k and v_k, and of their difference
+# v_k - u_k = u_k * 12k/(1 - 6k)
+_ALTERNATING_ROWS = np.array([_ALTERNATING * _U, _ALTERNATING * _V])
+_DIFFERENCE = _ALTERNATING * _U * 12.0 * _K / (1.0 - 6.0 * _K)
 
 
 @dataclass(frozen=True)
 class ComplexAiryPair:
-    """Values of Ai, Bi, their derivatives, and Ci = Bi + i*Ai at one point."""
+    """Values of Ai, Bi, their derivatives, and Ci = Bi + i*Ai (floats or arrays)."""
 
-    ai: float
-    ai_prime: float
-    bi: float
-    bi_prime: float
-
-    @property
-    def ci(self) -> complex:
-        return complex(self.bi, self.ai)
+    ai: float | np.ndarray
+    ai_prime: float | np.ndarray
+    bi: float | np.ndarray
+    bi_prime: float | np.ndarray
 
     @property
-    def ci_prime(self) -> complex:
-        return complex(self.bi_prime, self.ai_prime)
+    def ci(self) -> complex | np.ndarray:
+        return self.bi + 1j * self.ai
+
+    @property
+    def ci_prime(self) -> complex | np.ndarray:
+        return self.bi_prime + 1j * self.ai_prime
 
 
-def _transfer(x0: float, h: float) -> tuple[float, float, float, float]:
-    """Taylor-series propagator of y'' = x*y over one step.
+def _argument(x, name: str) -> np.ndarray:
+    """x as a float array; DomainError if any element is NaN."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError(f"{name}: argument is NaN")
+    return x
 
-    Returns (u, u', v, v') at x0 + h for the fundamental pair
-    u(x0) = 1, u'(x0) = 0 and v(x0) = 0, v'(x0) = 1.  The coefficient
-    recurrence is c_{n+2} = (x0*c_n + c_{n-1}) / ((n+1)(n+2)).
+
+def _shaped(values: np.ndarray, shape):
+    """A flat result in the caller's shape; a scalar for a scalar input."""
+    return values.reshape(shape)[()]
+
+
+def _prefix(ok: np.ndarray) -> np.ndarray:
+    """Per row, the number of leading True entries of ``ok``."""
+    return np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+
+
+def _blocks(n: int):
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _truncated_sums(zeta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Optimally truncated sums  sum_k rows[j, k] zeta^-k,  one per row j.
+
+    All rows share the truncation of u_k zeta^-k: a point's sum stops before
+    its first term that is not smaller than the one before (the expansion
+    has started to diverge), or after its first term below 1e-19.  Each
+    point's terms are summed in order of k.
     """
-    cu = [1.0, 0.0]
-    cv = [0.0, 1.0]
-    u, up = 1.0, 0.0
-    v, vp = h, 1.0
-    hn = h
-    t1 = t2 = math.inf    # sparse coefficient patterns make single terms vanish
-    for n in range(_MAX_TERMS):
-        den = (n + 1) * (n + 2)
-        prev_u = cu[n - 1] if n >= 1 else 0.0
-        prev_v = cv[n - 1] if n >= 1 else 0.0
-        cu.append((x0 * cu[n] + prev_u) / den)
-        cv.append((x0 * cv[n] + prev_v) / den)
-        hn *= h
-        tu = cu[n + 2] * hn
-        tv = cv[n + 2] * hn
-        u += tu
-        v += tv
-        up += (n + 2) * cu[n + 2] * hn / h
-        vp += (n + 2) * cv[n + 2] * hn / h
-        tail = abs(tu) + abs(tv)
-        if n > 10 and tail + t1 + t2 < 1e-19 * (abs(u) + abs(v) + 1e-300):
-            break
-        t1, t2 = tail, t1
-    return u, up, v, vp
+    out = np.empty((rows.shape[0], zeta.size))
+    for b in _blocks(zeta.size):
+        zk = zeta[b, None] ** -_K
+        term = _U * zk
+        shrinks = term[:, 1:] < term[:, :-1]
+        above = np.ones_like(shrinks)
+        above[:, 1:] = term[:, 1:-1] >= 1e-19
+        last = _prefix(shrinks & above)
+        width = last.max() + 1
+        sums = np.cumsum(rows[:, None, :width] * zk[None, :, :width], axis=2)
+        out[:, b] = np.take_along_axis(sums, last[None, :, None], axis=2)[..., 0]
+    return out
 
 
-def _propagate(x_from: float, x_to: float, y: float, yp: float) -> tuple[float, float]:
-    """Step a solution of y'' = x*y from x_from to x_to."""
-    span = x_to - x_from
-    nstep = max(1, math.ceil(abs(span) / _STEP))
-    h = span / nstep
-    x = x_from
-    for _ in range(nstep):
-        u, up, v, vp = _transfer(x, h)
-        y, yp = u * y + v * yp, up * y + vp * yp
-        x += h
-    return y, yp
+def _difference_sum(zeta: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^k (v_k - u_k) zeta^-k, truncated before its first term that
+    is not smaller than the one before, or after one below 1e-22 of the
+    running sum."""
+    out = np.empty_like(zeta)
+    for b in _blocks(zeta.size):
+        term = _DIFFERENCE * zeta[b, None] ** -_K
+        size = np.abs(term)
+        sums = np.cumsum(term, axis=1)
+        shrinks = np.ones(size[:, 1:].shape, dtype=bool)
+        shrinks[:, 1:] = size[:, 2:] < size[:, 1:-1]
+        above = np.ones_like(shrinks)
+        above[:, 1:] = ~(size[:, 1:-1] < 1e-22 * np.abs(sums[:, 1:-1]))
+        last = _prefix(shrinks & above)
+        out[b] = sums[np.arange(last.size), last]
+    return out
 
 
-def _asym_sums(zeta: float) -> tuple[float, float]:
-    """Poincare sums (sum (-1)^k u_k zeta^-k, same with v_k), optimally truncated."""
-    su = 1.0
-    sv = 1.0
-    uk = 1.0
-    term_prev = 1.0
-    sign = 1.0
-    k = 0
-    while k < 200:
-        k += 1
-        uk *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        vk = uk * (6 * k + 1) / (1 - 6 * k)
-        sign = -sign
-        tu = sign * uk / zeta**k
-        if abs(tu) >= term_prev:        # series started diverging
-            break
-        su += tu
-        sv += sign * vk / zeta**k
-        term_prev = abs(tu)
-        if term_prev < 1e-19:
-            break
-    return su, sv
-
-
-def _asym_sums_split(zeta: float) -> tuple[float, float, float, float]:
-    """Even/odd split sums P, Q, R, S of the oscillatory expansions."""
-    P = 1.0   # sum (-1)^k u_{2k} zeta^{-2k}
-    Q = 0.0   # sum (-1)^k u_{2k+1} zeta^{-2k-1}
-    R = 1.0   # v analogue of P
-    S = 0.0   # v analogue of Q
-    uk = 1.0
-    zk = 1.0
-    term_prev = 1.0
-    j = 0
-    while j < 200:
-        j += 1
-        uk *= (6 * j - 5) * (6 * j - 3) * (6 * j - 1) / (216.0 * j * (2 * j - 1))
-        vk = uk * (6 * j + 1) / (1 - 6 * j)
-        zk /= zeta
-        t = uk * zk
-        if t >= term_prev:
-            break
-        term_prev = t
-        phase = (-1.0) ** (j // 2)
-        if j % 2 == 1:
-            Q += phase * t
-            S += phase * vk * zk
-        else:
-            P += phase * t
-            R += phase * vk * zk
-        if t < 1e-19:
-            break
-    return P, Q, R, S
-
-
-def _airy_pos_asym(x: float) -> tuple[float, float, float, float, float]:
-    """Scaled asymptotic values for x >= 8.
-
-    Returns (ai_s, aip_s, bi_s, bip_s, zeta) with
-    Ai = ai_s*exp(-zeta), Ai' = aip_s*exp(-zeta), Bi = bi_s*exp(zeta),
-    Bi' = bip_s*exp(zeta).
-    """
-    zeta = (2.0 / 3.0) * x ** 1.5
-    su, sv = _asym_sums(zeta)          # alternating-sign sums
-    sbu, sbv = _asym_sums(-zeta)       # same-sign sums via sign trick
-    x4 = x ** 0.25
-    ai_s = su / (2.0 * _SQRT_PI * x4)
-    aip_s = -x4 * sv / (2.0 * _SQRT_PI)
-    bi_s = sbu / (_SQRT_PI * x4)
-    bip_s = x4 * sbv / _SQRT_PI
-    return ai_s, aip_s, bi_s, bip_s, zeta
-
-
-def airy_modulus_asymptotic(x: float) -> tuple[float, float, float, float]:
-    """(Ai, Ai', Bi, Bi') from the oscillatory asymptotic expansions, x <= -8."""
-    if not x <= -8.0:
-        raise DomainError(f"oscillatory asymptotics need x <= -8, got {x}")
+def _oscillatory(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Ai, Ai', Bi, Bi') from the oscillatory expansions at flat x <= -8."""
     z = -x
-    zeta = (2.0 / 3.0) * z ** 1.5
-    P, Q, R, S = _asym_sums_split(zeta)
-    c = math.cos(zeta - 0.25 * math.pi)
-    s = math.sin(zeta - 0.25 * math.pi)
-    z4 = z ** 0.25
+    zeta = (2.0 / 3.0) * z**1.5
+    P, Q, R, S = _truncated_sums(zeta, _SPLIT_ROWS)
+    c = np.cos(zeta - 0.25 * math.pi)
+    s = np.sin(zeta - 0.25 * math.pi)
+    z4 = z**0.25
     ai = (c * P + s * Q) / (_SQRT_PI * z4)
     aip = (s * R - c * S) * z4 / _SQRT_PI
     bi = (-s * P + c * Q) / (_SQRT_PI * z4)
@@ -203,57 +179,57 @@ def airy_modulus_asymptotic(x: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _airy_mid(x: float) -> tuple[float, float, float, float]:
-    """Taylor-stepped values, usable on roughly [-13, 13]."""
-    if x == 0.0:
-        return _AI0, _AIP0, _BI0, _BIP0
-    if x < 0.0 or x <= 1.0:
-        ai, aip = _propagate(0.0, x, _AI0, _AIP0)
-    else:
-        a_s, ap_s, _, _, zeta = _airy_pos_asym(_AI_ANCHOR)
-        e = math.exp(-zeta)
-        ai, aip = _propagate(_AI_ANCHOR, x, a_s * e, ap_s * e)
-    bi, bip = _propagate(0.0, x, _BI0, _BIP0)
-    return ai, aip, bi, bip
+def _values(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Ai, Ai', Bi, Bi') at flat x: scipy above -X_SWITCH, asymptotics below."""
+    osc = x <= -X_SWITCH
+    if not osc.any():
+        return special.airy(x)
+    if osc.all():
+        return _oscillatory(x)
+    out = tuple(np.empty_like(x) for _ in range(4))
+    mid = ~osc
+    for o, v in zip(out, special.airy(x[mid])):
+        o[mid] = v
+    for o, v in zip(out, _oscillatory(x[osc])):
+        o[osc] = v
+    return out
 
 
-def airy_all(x: float) -> ComplexAiryPair:
-    """Evaluate Ai, Ai', Bi, Bi' (and Ci, Ci') at a real argument.
+def airy_modulus_asymptotic(x):
+    """(Ai, Ai', Bi, Bi') from the oscillatory asymptotic expansions, x <= -8."""
+    x = _argument(x, "airy_modulus_asymptotic")
+    if not np.all(x <= -8.0):
+        raise DomainError(f"oscillatory asymptotics need x <= -8, got {x.max()}")
+    return tuple(_shaped(v, x.shape) for v in _oscillatory(x.ravel()))
 
-    Raises RangeError for x > X_MAX where Bi overflows, DomainError on NaN.
+
+def airy_all(x) -> ComplexAiryPair:
+    """Evaluate Ai, Ai', Bi, Bi' (and Ci, Ci') at real arguments.
+
+    Raises RangeError if any x > X_MAX, where Bi overflows, and DomainError
+    on NaN.
     """
-    if math.isnan(x):
-        raise DomainError("airy_all: argument is NaN")
-    if x > X_MAX:
-        raise RangeError(f"airy_all: x = {x} > {X_MAX}; Bi would overflow")
-    if x >= X_SWITCH:
-        ai_s, aip_s, bi_s, bip_s, zeta = _airy_pos_asym(x)
-        em = math.exp(-zeta)
-        ep = math.exp(zeta)
-        return ComplexAiryPair(ai_s * em, aip_s * em, bi_s * ep, bip_s * ep)
-    if x <= -X_SWITCH:
-        return ComplexAiryPair(*airy_modulus_asymptotic(x))
-    return ComplexAiryPair(*_airy_mid(x))
+    x = _argument(x, "airy_all")
+    if np.any(x > X_MAX):
+        raise RangeError(f"airy_all: x = {x.max()} > {X_MAX}; Bi would overflow")
+    return ComplexAiryPair(*(_shaped(v, x.shape) for v in _values(x.ravel())))
 
 
-def airy_scaled(x: float) -> tuple[float, float, float, float, float]:
+def airy_scaled(x):
     """Exponentially scaled values for x >= 0, valid to arbitrarily large x.
 
     Returns (ai_s, aip_s, bi_s, bip_s, zeta) with Ai = ai_s*exp(-zeta) and
     Bi = bi_s*exp(+zeta).  Unlike airy_all this never overflows, which the
     total-current formulas rely on deep in the tunneling regime.
     """
-    if not x >= 0.0:
-        raise DomainError(f"airy_scaled: need x >= 0, got {x}")
-    if x >= 8.0:
-        return _airy_pos_asym(x)
-    zeta = (2.0 / 3.0) * x ** 1.5
-    p = airy_all(x)
-    ep = math.exp(zeta)
-    return p.ai * ep, p.ai_prime * ep, p.bi / ep, p.bi_prime / ep, zeta
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
+        raise DomainError(f"airy_scaled: need x >= 0, got {x.min()}")
+    zeta = (2.0 / 3.0) * x**1.5
+    return tuple(v[()] for v in (*special.airye(x), zeta))
 
 
-def airy_bracket_log(x: float) -> float:
+def airy_bracket_log(x):
     """log of Ai'(x)^2 - x*Ai(x)^2, the emission bracket of the total currents.
 
     The bracket equals the integral of Ai^2 from x to infinity, hence is
@@ -261,26 +237,23 @@ def airy_bracket_log(x: float) -> float:
     the difference is then formed inside the asymptotic series where it is
     exact, keeping ~12 significant digits even at x ~ 1e3.
     """
-    if x <= 8.0:
-        p = airy_all(x)
-        return math.log(p.ai_prime**2 - x * p.ai**2)
-    zeta = (2.0 / 3.0) * x ** 1.5
-    su, sv = _asym_sums(zeta)
-    # sv - su resummed termwise: (v_k - u_k) = u_k * 12k/(1 - 6k)
-    diff = 0.0
-    uk = 1.0
-    sign = 1.0
-    term_prev = math.inf
-    for k in range(1, 200):
-        uk *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        wk = uk * 12.0 * k / (1.0 - 6.0 * k)
-        sign = -sign
-        t = sign * wk / zeta**k
-        if abs(t) >= term_prev:
-            break
-        diff += t
-        term_prev = abs(t)
-        if term_prev < 1e-22 * abs(diff):
-            break
+    x = _argument(x, "airy_bracket_log")
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    series = flat > _BRACKET_SERIES
+    if not series.all():
+        xd = flat[~series]
+        ai, aip, _, _ = _values(xd)
+        out[~series] = np.log(aip**2 - xd * ai**2)
+    if series.any():
+        out[series] = _bracket_series_log(flat[series])
+    return _shaped(out, x.shape)
+
+
+def _bracket_series_log(x: np.ndarray) -> np.ndarray:
+    """The emission bracket's log from its asymptotic series, at flat x > 7.5."""
+    zeta = (2.0 / 3.0) * x**1.5
+    su, sv = _truncated_sums(zeta, _ALTERNATING_ROWS)
+    diff = _difference_sum(zeta)
     # Ai'^2 - x Ai^2 = exp(-2 zeta) * sqrt(x)/(4 pi) * (sv - su)(sv + su)
-    return -2.0 * zeta + math.log(math.sqrt(x) / (4.0 * math.pi) * diff * (sv + su))
+    return -2.0 * zeta + np.log(np.sqrt(x) / (4.0 * math.pi) * diff * (sv + su))

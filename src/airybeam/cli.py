@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .green import green_closed, green_oracle
 from .output import ScanResult, write_csv, write_json, write_pgm
 from .scaling import (HBAR, energy_from_ev, energy_from_frequency, make_system)
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
-                        current_transition_scan, detector_image, o_minus,
+                        current_transition_scan, default_half_width,
+                        detector_image, detector_plane, o_minus,
                         photodetachment_cross_section, rb_atom_laser, s_minus)
 from .sources import (GaussianSource, current_density_gauss,
                       current_density_point, gaussian_scaled, sum_rule_check,
@@ -148,10 +148,10 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _provenance(args) -> dict:
     """Resolved flag values, recorded so any output can be re-run exactly.
 
-    Execution details that cannot change the numbers (thread cap, output
-    location) stay out so reruns remain byte-identical.
+    Execution details that cannot change the numbers (output location,
+    config file name) stay out so reruns remain byte-identical.
     """
-    skip = {"fn", "output", "config", "threads"}
+    skip = {"fn", "output", "config"}
     out = {"command": args.command}
     for key, val in vars(args).items():
         if key in skip or key == "command" or val is None:
@@ -189,16 +189,9 @@ def _write_overlay_pair(args, model_fn) -> None:
     meta = _provenance(args)
     _write_scan(ScanResult(xs, ys, "abscissa", "user_data", meta), args,
                 suffix="_overlay_data")
-    model = np.array([model_fn(x) for x in xs])
+    model = model_fn(xs)
     _write_scan(ScanResult(xs, model, "abscissa", "model", meta), args,
                 suffix="_overlay_model")
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))   # ordered regardless of schedule
 
 
 # ----------------------------------------------------------------------------
@@ -215,11 +208,10 @@ def _cmd_total_current(args) -> int:
         sys_ = preset.system
         src = preset.source
         model = lambda nu: total_current_gauss(sys_, src, energy_from_frequency(nu))
-        j = _parallel_map(model, nus, args.threads)
         meta = dict(_provenance(args), preset=args.preset, width_m=preset.width,
                     coupling_rad_per_s=preset.coupling, beta=sys_.beta,
                     alpha=sys_.beta_f * preset.width)
-        result = ScanResult(nus, np.array(j), "nu_Hz", "current_per_s", meta)
+        result = ScanResult(nus, model(nus), "nu_Hz", "current_per_s", meta)
         lhs, rhs = sum_rule_check(
             sys_, src, (energy_from_frequency(nus[-1]),
                         energy_from_frequency(nus[0])))
@@ -245,42 +237,29 @@ def _cmd_total_current(args) -> int:
 
 def _cmd_density_profile(args) -> int:
     preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
+    sys_ = preset.system
+    src = preset.source
+    energy, z = detector_plane(preset)
     half_width = args.half_width
     if half_width is None:
-        from .scenarios import _classical_radius
-        if isinstance(preset, AtomLaserPreset):
-            e0 = energy_from_frequency(preset.profile_nu)
-            z0 = preset.profile_z
-        else:
-            e0, z0 = preset.energy, preset.detector_z
-        sys0 = preset.system
-        half_width = 1.15 * _classical_radius(sys0, e0, z0) + 2.0 / sys0.beta_f
+        half_width = default_half_width(sys_, energy, z)
     xs = _grid(-half_width, half_width, args.n)
     if isinstance(preset, AtomLaserPreset):
-        sys_ = preset.system
-        src = preset.source
-        energy = energy_from_frequency(preset.profile_nu)
-        z = preset.profile_z
-        fn = lambda x: current_density_gauss(sys_, src, (x, 0.0, z), energy)
+        j = current_density_gauss(sys_, src, (xs, 0.0, z), energy)
         g = gaussian_scaled(sys_, src, energy)
         meta = dict(_provenance(args), preset=args.preset, width_m=preset.width,
                     z_m=z, nu_Hz=preset.profile_nu, beta=sys_.beta,
                     alpha=g.alpha, epsilon_tilde=g.epsilon_tilde,
                     half_width_m=half_width)
     else:
-        sys_ = preset.system
-        src = preset.source
-        energy = preset.energy
-        z = preset.detector_z
-        fn = lambda x: current_density_point(sys_, src, (x, 0.0, z), energy)
+        j = current_density_point(sys_, src, (xs, 0.0, z), energy)
         meta = dict(_provenance(args), preset=args.preset, energy_J=energy,
                     z_m=z, beta=sys_.beta,
                     epsilon=-2.0 * sys_.beta * energy,
                     zeta=sys_.beta_f * z, half_width_m=half_width)
-    j = _parallel_map(fn, xs, args.threads)
-    result = ScanResult(xs, np.array(j), "x_m", "j_z", meta)
+    result = ScanResult(xs, j, "x_m", "j_z", meta)
     _write_scan(result, args)
-    print(f"density-profile: peak j_z = {max(j):.6g} -> {_out_path(args)}")
+    print(f"density-profile: peak j_z = {result.values.max():.6g} -> {_out_path(args)}")
     return 0
 
 
@@ -317,20 +296,16 @@ def _cmd_atom_laser(args) -> int:
     _write_scan(result, args)
     sys_ = preset.system
     src = preset.source
+    sign = -1.0 if args.flip_detuning else 1.0
 
     def fraction_model(nu):
-        j = total_current_gauss(sys_, src,
-                                energy_from_frequency(-nu if args.flip_detuning
-                                                      else nu))
-        return math.exp(-j * preset.operation_time) * preset.atom_count
+        j = total_current_gauss(sys_, src, energy_from_frequency(sign * nu))
+        return np.exp(-j * preset.operation_time) * preset.atom_count
 
     _write_overlay_pair(args, fraction_model)
     # the detuning origin convention differs between setups: report where
     # the exact current peaks and where the slicing resonance (eps = 0) sits
-    j_grid = [total_current_gauss(sys_, src, energy_from_frequency(nu))
-              for nu in nus]
-    nu_peak = nus[int(np.argmax(j_grid))]
-    sign = -1.0 if args.flip_detuning else 1.0
+    nu_peak = nus[int(np.argmax(curve.currents))]
     imin = int(np.argmin(counts))
     print(f"atom-laser: deepest depletion {counts[imin]:.6g} at "
           f"nu = {detunings[imin]:.6g} Hz; exact-current peak at "
@@ -433,8 +408,6 @@ def _write_scan(result: ScanResult, args, suffix: str = "") -> None:
 def _add_common(p, fmt_choices=("csv", "json")):
     p.add_argument("-o", "--output", required=True, help="output file path")
     p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on parallel grid evaluation")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with flag values (identical key names)")
 

@@ -16,6 +16,8 @@ Two routes to the same object:
   eta -> 0.  Exists purely for validation (the CLI ``validate`` command).
 
 Everything internal is dimensionless: G = beta*(beta F)^3 * g(scaled args).
+The closed form takes arrays: the components of ``r`` and ``r_src`` and the
+energy broadcast against each other, and scalars in give scalars out.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 
-from .airy import airy_all, airy_scaled
+from . import airy
+# Array calls go through the ``airy`` module.  These names stay bound for
+# per-call instrumentation that wraps them and reads a scalar argument
+# (perfbench/tracing.py).
+from .airy import airy_all, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError
 from .scaling import PhysicalSystem
 
@@ -48,77 +54,95 @@ class GreenValue:
     ``scaled`` is the dimensionless value (units of beta*(beta F)^3 removed),
     ``si_factor`` the recorded conversion beta*(beta F)^3 back to SI
     (mass / (hbar^2 * length)), and ``value`` the SI number itself.  The
-    split keeps deep-tunneling evaluations representable.
+    split keeps deep-tunneling evaluations representable.  ``mantissa`` and
+    ``log_scale`` are arrays when the evaluation points were.
     """
 
-    mantissa: complex
-    log_scale: float
+    mantissa: complex | np.ndarray
+    log_scale: float | np.ndarray
     si_factor: float
     error_estimate: float | None = None
 
     @property
-    def scaled(self) -> complex:
-        return self.mantissa * math.exp(self.log_scale)
+    def scaled(self) -> complex | np.ndarray:
+        return self.mantissa * np.exp(self.log_scale)
 
     @property
-    def value(self) -> complex:
-        return self.mantissa * math.exp(self.log_scale + math.log(self.si_factor))
+    def value(self) -> complex | np.ndarray:
+        return self.mantissa * np.exp(self.log_scale + math.log(self.si_factor))
 
 
-def _relative_args(sys: PhysicalSystem, r, r_src, energy: float):
-    """Scaled separation (rho_d), z-sum and energy for a point pair."""
+def _relative_args(sys: PhysicalSystem, r, r_src, energy):
+    """Scaled separation (rho_d), z-sum and energy for point pairs."""
     bf = sys.beta_f
+    r = [np.asarray(c, dtype=float) for c in r]
+    r_src = [np.asarray(c, dtype=float) for c in r_src]
     dx = (r[0] - r_src[0]) * bf
     dy = (r[1] - r_src[1]) * bf
     dz = (r[2] - r_src[2]) * bf
-    rho_d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    rho_d = np.sqrt(dx * dx + dy * dy + dz * dz)
     zsum = (r[2] + r_src[2]) * bf
-    eps = -2.0 * sys.beta * energy
-    return rho_d, zsum, eps
+    eps = -2.0 * sys.beta * np.asarray(energy, dtype=float)
+    return np.broadcast_arrays(rho_d, zsum, eps)
 
 
-def green_args(sys: PhysicalSystem, r, r_src, energy: float) -> GreenArgs:
+def green_args(sys: PhysicalSystem, r, r_src, energy) -> GreenArgs:
     """Airy arguments a+- = eps - (zeta + zeta') -+ rho_d of the closed form."""
     rho_d, zsum, eps = _relative_args(sys, r, r_src, energy)
-    return GreenArgs(alpha_plus=eps - zsum - rho_d, alpha_minus=eps - zsum + rho_d)
+    return GreenArgs(alpha_plus=(eps - zsum - rho_d)[()],
+                     alpha_minus=(eps - zsum + rho_d)[()])
 
 
-def _bracket_scaled(ap: float, am: float) -> tuple[complex, float]:
-    """Ci(ap) Ai'(am) - Ci'(ap) Ai(am) as (mantissa, log_scale).
+def _bracket_scaled(ap, am) -> tuple[np.ndarray, np.ndarray]:
+    """Ci(ap) Ai'(am) - Ci'(ap) Ai(am) as (mantissa, log_scale) arrays.
 
-    For large positive arguments the Airy factors are kept exponentially
-    scaled so the product with the caller's own exponential weights can be
-    combined in log space.
+    ``ap <= am`` elementwise.  For large positive arguments the Airy factors
+    are kept exponentially scaled so the product with the caller's own
+    exponential weights can be combined in log space.
     """
-    if am <= 8.0:
-        p = airy_all(ap)
-        m = airy_all(am)
-        return p.ci * m.ai_prime - p.ci_prime * m.ai, 0.0
-    ai_s, aip_s, _, _, zm = airy_scaled(am)
-    if ap <= 8.0:
-        p = airy_all(ap)
-        return p.ci * aip_s - p.ci_prime * ai_s, -zm
-    pa_s, pap_s, pb_s, pbp_s, zp = airy_scaled(ap)
-    # Ci(ap) e^{-zeta_p} = bi_s + i ai_s e^{-2 zeta_p}
-    damp = math.exp(-2.0 * zp) if zp < 350.0 else 0.0
-    ci_s = complex(pb_s, pa_s * damp)
-    cip_s = complex(pbp_s, pap_s * damp)
-    return ci_s * aip_s - cip_s * ai_s, zp - zm
+    ap, am = np.broadcast_arrays(np.asarray(ap, dtype=float),
+                                 np.asarray(am, dtype=float))
+    if np.isnan(ap).any() or np.isnan(am).any():
+        raise DomainError("Green-function bracket: Airy argument is NaN")
+    mant = np.empty(ap.shape, dtype=complex)
+    log_scale = np.zeros(ap.shape)
+    low = am <= 8.0
+    if low.any():
+        p = airy.airy_all(ap[low])
+        m = airy.airy_all(am[low])
+        mant[low] = p.ci * m.ai_prime - p.ci_prime * m.ai
+    mid = ~low & (ap <= 8.0)
+    if mid.any():
+        ai_s, aip_s, _, _, zm = airy.airy_scaled(am[mid])
+        p = airy.airy_all(ap[mid])
+        mant[mid] = p.ci * aip_s - p.ci_prime * ai_s
+        log_scale[mid] = -zm
+    high = ap > 8.0
+    if high.any():
+        ai_s, aip_s, _, _, zm = airy.airy_scaled(am[high])
+        pa_s, pap_s, pb_s, pbp_s, zp = airy.airy_scaled(ap[high])
+        # Ci(ap) e^{-zeta_p} = bi_s + i ai_s e^{-2 zeta_p}
+        damp = np.exp(-2.0 * np.minimum(zp, 350.0))
+        damp[zp >= 350.0] = 0.0
+        ci_s = pb_s + 1j * (pa_s * damp)
+        cip_s = pbp_s + 1j * (pap_s * damp)
+        mant[high] = ci_s * aip_s - cip_s * ai_s
+        log_scale[high] = zp - zm
+    return mant, log_scale
 
 
-def green_closed(sys: PhysicalSystem, r, r_src, energy: float) -> GreenValue:
+def green_closed(sys: PhysicalSystem, r, r_src, energy) -> GreenValue:
     """Closed Airy form of the retarded Green function (production path)."""
     rho_d, zsum, eps = _relative_args(sys, r, r_src, energy)
-    if rho_d == 0.0:
+    if np.any(rho_d == 0.0):
         raise DomainError(
             "green_closed: coincident points; the diagonal limit is "
             "total_current_point"
         )
-    ap = eps - zsum - rho_d
-    am = eps - zsum + rho_d
-    mant, log_scale = _bracket_scaled(ap, am)
+    mant, log_scale = _bracket_scaled(eps - zsum - rho_d, eps - zsum + rho_d)
     si = sys.beta * sys.beta_f**3
-    return GreenValue(mantissa=2.0 / rho_d * mant, log_scale=log_scale, si_factor=si)
+    return GreenValue(mantissa=(2.0 / rho_d * mant)[()], log_scale=log_scale[()],
+                      si_factor=si)
 
 
 # ----------------------------------------------------------------------------
@@ -128,6 +152,7 @@ def green_closed(sys: PhysicalSystem, r, r_src, energy: float) -> GreenValue:
 _THETA_IN = math.pi / 6     # entry ray angle below the real axis
 _THETA_TAIL = math.pi / 6   # tail ray angle (cubic term decays fastest here)
 _QUAD_LIMIT = 400
+_TAIL_GROWTHS = 16          # tail cut-off search: y = 5 * 1.6^k, k < 16 (y < 6e3)
 
 
 def _phase(tau: complex, rho: float, a: float, eta_s: float) -> complex:
@@ -142,6 +167,18 @@ def _integrand(tau: complex, rho: float, a: float, eta_s: float) -> complex:
             "quadrature path does not reach this parameter regime"
         )
     return -2j * (1j * math.pi * tau) ** -1.5 * cmath.exp(ph)
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first use.
+
+    Only the quadrature paths need it, and importing ``scipy.integrate``
+    costs more start-up time than the rest of the package, so the grid
+    commands never load it.  It is a module attribute, not a local import,
+    so that callers can wrap it (e.g. to count integrand evaluations).
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def _quad_c(f, lo, hi):
@@ -201,8 +238,15 @@ def _g_time_scaled(rho: float, a: float, eta_s: float) -> tuple[complex, float]:
 
     y_hi = 5.0
     base = max(log_mag(0.0), 0.0)
-    while log_mag(y_hi) > base - 42.0 and y_hi < 4000.0:
+    for _ in range(_TAIL_GROWTHS):
+        if log_mag(y_hi) <= base - 42.0:    # a NaN never counts as decayed
+            break
         y_hi *= 1.6
+    else:
+        raise ConvergenceError(
+            f"green oracle: the contour tail has not decayed by e^-42 at "
+            f"y = {y_hi:.4g} (rho = {rho:.6g}, a = {a:.6g})"
+        )
 
     def f_tail(y):
         return _integrand(T + y * e_tail, rho, a, eta_s) * e_tail
@@ -238,7 +282,7 @@ def green_oracle(
     """
     if eta <= 0.0:
         raise DomainError(f"green_oracle: eta must be > 0, got {eta}")
-    rho_d, zsum, eps = _relative_args(sys, r, r_src, energy)
+    rho_d, zsum, eps = (float(v) for v in _relative_args(sys, r, r_src, energy))
     if rho_d == 0.0:
         raise DomainError("green_oracle: coincident points")
     a = -(eps - zsum)         # i a tau phase term, a = zeta_rel - eps_shifted

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 
-__all__ = ["ScanResult", "RasterImage", "write_csv", "write_pgm"]
+__all__ = ["ScanResult", "RasterImage", "write_csv", "write_json", "write_pgm"]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -68,9 +70,9 @@ class PhysicalSystem:
         return -e / (2.0 * self.beta)
 
     def scale_point(self, r) -> "ScaledPoint":
-        x, y, z = (float(c) for c in r)
+        """Scaled coordinates of r = (x, y, z); components may be arrays."""
         bf = self.beta_f
-        return ScaledPoint(bf * x, bf * y, bf * z)
+        return ScaledPoint(*((bf * np.asarray(c, dtype=float))[()] for c in r))
 
     def unscale_point(self, p: "ScaledPoint") -> tuple[float, float, float]:
         bf = self.beta_f
@@ -86,15 +88,18 @@ class PhysicalSystem:
 
 @dataclass(frozen=True)
 class ScaledPoint:
-    """Dimensionless coordinates (xi, nu_y, zeta); rho is the scaled radius."""
+    """Dimensionless coordinates (xi, nu_y, zeta); rho is the scaled radius.
 
-    xi: float
-    nu_y: float
-    zeta: float
+    The coordinates are floats, or arrays for an array of points.
+    """
+
+    xi: float | np.ndarray
+    nu_y: float | np.ndarray
+    zeta: float | np.ndarray
 
     @property
-    def rho(self) -> float:
-        return math.sqrt(self.xi**2 + self.nu_y**2 + self.zeta**2)
+    def rho(self) -> float | np.ndarray:
+        return np.sqrt(self.xi**2 + self.nu_y**2 + self.zeta**2)
 
 
 @dataclass(frozen=True)

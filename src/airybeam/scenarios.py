@@ -11,6 +11,8 @@
 
 Absolute point-source currents carry the arbitrary |C|^2 normalization;
 these presets default it to 1 and expose it as a plain scale factor.
+
+Every observable hands its whole grid to the source layer in one call.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .sources import (GaussianSource, PointSource, current_density_gauss,
 __all__ = [
     "PhotodetachmentPreset", "AtomLaserPreset", "DepletionCurve",
     "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser",
-    "photodetachment_cross_section", "detector_image", "atom_laser_depletion",
-    "beam_profile_family", "current_transition_scan",
+    "photodetachment_cross_section", "detector_image", "detector_plane",
+    "default_half_width", "atom_laser_depletion", "beam_profile_family",
+    "current_transition_scan",
 ]
 
 
@@ -103,6 +106,7 @@ class DepletionCurve:
 
     detunings: np.ndarray          # Hz
     fractions: np.ndarray          # in (0, 1]
+    currents: np.ndarray           # J (1/s) behind each fraction
     meta: dict = field(default_factory=dict)
 
 
@@ -158,7 +162,7 @@ def photodetachment_cross_section(
     sys = preset.system
     src = preset.source
     energies = np.asarray(energies, dtype=float)
-    j = np.array([total_current_point(sys, src, e) for e in energies])
+    j = total_current_point(sys, src, energies)
     meta = {
         "species": preset.species,
         "field_eV_per_m": preset.field_ev_per_m,
@@ -170,14 +174,24 @@ def photodetachment_cross_section(
 
 
 def _radial_density(preset, energy: float, z: float):
-    """Returns j_z(R) callable for either preset flavour."""
-    if isinstance(preset, AtomLaserPreset):
-        sys = preset.system
-        src = preset.source
-        return sys, lambda R: current_density_gauss(sys, src, (R, 0.0, z), energy)
+    """Returns j_z(R) of R arrays for either preset flavour."""
     sys = preset.system
     src = preset.source
+    if isinstance(preset, AtomLaserPreset):
+        return sys, lambda R: current_density_gauss(sys, src, (R, 0.0, z), energy)
     return sys, lambda R: current_density_point(sys, src, (R, 0.0, z), energy)
+
+
+def detector_plane(preset) -> tuple[float, float]:
+    """The preset's default (energy J, plane z m) for images and profiles."""
+    if isinstance(preset, AtomLaserPreset):
+        return energy_from_frequency(preset.profile_nu), preset.profile_z
+    return preset.energy, preset.detector_z
+
+
+def default_half_width(sys: PhysicalSystem, energy: float, z: float) -> float:
+    """Half-width (m) just beyond the outermost classically allowed radius."""
+    return 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
 
 
 def detector_image(
@@ -195,21 +209,17 @@ def detector_image(
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
-    if isinstance(preset, AtomLaserPreset):
-        energy = energy_from_frequency(preset.profile_nu) if energy is None else energy
-        z = preset.profile_z if z is None else z
-    else:
-        energy = preset.energy if energy is None else energy
-        z = preset.detector_z if z is None else z
+    e0, z0 = detector_plane(preset)
+    energy = e0 if energy is None else energy
+    z = z0 if z is None else z
     if z <= 0.0:
         raise DomainError("detector_image: detector plane must be downstream (z > 0)")
     sys, j_of_r = _radial_density(preset, energy, z)
     if half_width is None:
-        half_width = 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
+        half_width = default_half_width(sys, energy, z)
     n_rad = max(4 * resolution, 1024)
     r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, n_rad)
-    j_rad = np.array([j_of_r(R) for R in r_grid])
-    j_rad = np.clip(j_rad, 0.0, None)   # clip FP noise at ring nulls
+    j_rad = np.clip(j_of_r(r_grid), 0.0, None)   # clip FP noise at ring nulls
     centers = (np.arange(resolution) - (resolution - 1) / 2.0) * (
         2.0 * half_width / resolution
     )
@@ -238,18 +248,15 @@ def atom_laser_depletion(preset: AtomLaserPreset, detunings) -> DepletionCurve:
     sys = preset.system
     src = preset.source
     detunings = np.asarray(detunings, dtype=float)
-    frac = np.array([
-        math.exp(-total_current_gauss(sys, src, energy_from_frequency(nu))
-                 * preset.operation_time)
-        for nu in detunings
-    ])
+    j = total_current_gauss(sys, src, energy_from_frequency(detunings))
+    frac = np.exp(-j * preset.operation_time)
     meta = {
         "width_m": preset.width,
         "coupling_rad_per_s": preset.coupling,
         "operation_time_s": preset.operation_time,
         "atom_count": preset.atom_count,
     }
-    return DepletionCurve(detunings, frac, meta=meta)
+    return DepletionCurve(detunings, frac, j, meta=meta)
 
 
 def beam_profile_family(
@@ -268,9 +275,7 @@ def beam_profile_family(
         p = replace(preset, width=float(a))
         sys = p.system
         src = p.source
-        prof = np.array([
-            current_density_gauss(sys, src, (x, 0.0, z), energy) for x in xs
-        ])
+        prof = current_density_gauss(sys, src, (xs, 0.0, z), energy)
         out.append(ScanResult(
             xs, prof, xlabel="x_m", ylabel="j_z",
             meta={"width_m": float(a), "nu_Hz": nu, "z_m": z,
@@ -288,7 +293,7 @@ def current_transition_scan(
     2 pi hbar Omega^2) even where the curve shapes differ completely.
     """
     detunings = np.asarray(detunings, dtype=float)
-    energies = np.array([energy_from_frequency(nu) for nu in detunings])
+    energies = energy_from_frequency(detunings)
     out = []
     for a in widths:
         if not a > 0.0:
@@ -296,8 +301,8 @@ def current_transition_scan(
         p = replace(preset, width=float(a))
         sys = p.system
         src = p.source
-        j = np.array([total_current_gauss(sys, src, e) for e in energies])
-        jsp = np.array([total_current_slicing(sys, src, e) for e in energies])
+        j = total_current_gauss(sys, src, energies)
+        jsp = total_current_slicing(sys, src, energies)
         area, _ = sum_rule_check(sys, src, (energies.min(), energies.max()))
         meta = {"width_m": float(a), "coupling_rad_per_s": preset.coupling}
         out.append(TransitionCurves(

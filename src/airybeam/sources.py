@@ -18,6 +18,10 @@ under which the far field is exactly a point source displaced upstream by
 
 Exponential weights are combined in log space throughout: for wide sources
 Lambda overflows while every physical observable stays moderate.
+
+The closed forms take arrays: the components of ``r`` and the energy
+broadcast against each other, and scalars in give scalars out.  Quadrature
+callers pass scalars through the same code.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 
-from .airy import airy_all, airy_bracket_log, airy_scaled
+from . import airy
+# Array calls go through the ``airy`` module.  These names stay bound for
+# per-call instrumentation that wraps them and reads a scalar argument
+# (perfbench/tracing.py).
+from .airy import airy_all, airy_bracket_log, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
-from .green import _bracket_scaled, _g_time_scaled, green_closed
+from .green import _bracket_scaled, _g_time_scaled, green_closed, quad
 from .scaling import PhysicalSystem
 
 __all__ = [
@@ -44,6 +52,7 @@ __all__ = [
 
 _FAR_FIELD_HARD = 3.0   # rho~ < 3 alpha: far-field formulas invalid
 _FAR_FIELD_SOFT = 5.0   # 3..5 alpha: usable with a warning
+_SUM_RULE_EXTENSIONS = 200  # window slabs added on each side before giving up
 
 
 @dataclass(frozen=True)
@@ -80,33 +89,44 @@ class GaussianScaled:
 
     log_weight is ln Lambda(eps~); the weight itself overflows for wide
     sources, so only the log is stored.  zeta_tilde/rho_tilde are present
-    when an evaluation point was supplied.
+    when an evaluation point was supplied.  Every field but alpha is an
+    array when the energy or the point was.
     """
 
     alpha: float
-    epsilon_tilde: float
-    log_weight: float
-    zeta_tilde: float | None = None
-    rho_tilde: float | None = None
+    epsilon_tilde: float | np.ndarray
+    log_weight: float | np.ndarray
+    zeta_tilde: float | np.ndarray | None = None
+    rho_tilde: float | np.ndarray | None = None
+
+
+def _scaled_energy(sys: PhysicalSystem, energy) -> np.ndarray:
+    return -2.0 * sys.beta * np.asarray(energy, dtype=float)
+
+
+def _flat(*arrays) -> tuple[tuple, list[np.ndarray]]:
+    """The common broadcast shape, and each array flattened to it."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    return arrays[0].shape, [a.ravel() for a in arrays]
 
 
 def gaussian_scaled(
-    sys: PhysicalSystem, src: GaussianSource, energy: float, r=None
+    sys: PhysicalSystem, src: GaussianSource, energy, r=None
 ) -> GaussianScaled:
     alpha = sys.beta_f * src.width
-    eps = -2.0 * sys.beta * energy
-    eps_t = eps + 4.0 * alpha**4
+    eps_t = _scaled_energy(sys, energy) + 4.0 * alpha**4
     log_w = (
         math.log(sys.hbar * src.coupling)
         + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
         + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
     )
     if r is None:
-        return GaussianScaled(alpha, eps_t, log_w)
+        return GaussianScaled(alpha, eps_t[()], log_w[()])
     p = sys.scale_point(r)
     zt = p.zeta + 2.0 * alpha**4
-    rt = math.sqrt(p.xi**2 + p.nu_y**2 + zt**2)
-    return GaussianScaled(alpha, eps_t, log_w, zeta_tilde=zt, rho_tilde=rt)
+    rt = np.sqrt(p.xi**2 + p.nu_y**2 + zt**2)
+    return GaussianScaled(alpha, eps_t[()], log_w[()], zeta_tilde=zt[()],
+                          rho_tilde=rt[()])
 
 
 def source_amplitude(sys: PhysicalSystem, src: SourceModel, r) -> float:
@@ -132,56 +152,67 @@ def virtual_source_shift(sys: PhysicalSystem, src: GaussianSource) -> float:
 # point source
 # ----------------------------------------------------------------------------
 
-def psi_point(sys: PhysicalSystem, src: PointSource, r, energy: float) -> complex:
+def psi_point(sys: PhysicalSystem, src: PointSource, r, energy):
     """Scattering wave C * G(r, 0; E) of the delta source."""
-    if r[0] == 0.0 and r[1] == 0.0 and r[2] == 0.0:
+    x, y, z = (np.asarray(c) for c in r)
+    if np.any((x == 0.0) & (y == 0.0) & (z == 0.0)):
         raise DomainError("psi_point: the wavefunction diverges at the source point")
-    return src.strength * green_closed(sys, r, (0.0, 0.0, 0.0), energy).value
+    return (src.strength * green_closed(sys, r, (0.0, 0.0, 0.0), energy).value)[()]
 
 
-def _jz_shape(xi: float, nu: float, zeta: float, eps: float) -> tuple[float, float]:
-    """Dimensionless current-density shape as (mantissa, log_scale).
+def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Dimensionless current-density shape as (mantissa, log_scale), flat arrays.
 
     (1/rho^3) * { zeta Ai'(am)^2 + [zeta(zeta - eps) + rho^2] Ai(am)^2 }
     with am = eps - zeta + rho; Airy factors exponentially scaled once the
-    argument enters the deep tunneling region.
+    argument enters the deep tunneling region.  Downstream (zeta > 0) am is
+    formed as eps + (xi^2 + nu^2)/(rho + zeta): at a distant detector zeta
+    and rho agree to many digits, and their difference would lose them
+    exactly where Ai(am) has its ring nulls.
     """
-    rho = math.sqrt(xi * xi + nu * nu + zeta * zeta)
-    if rho == 0.0:
+    lateral = xi * xi + nu * nu
+    rho = np.sqrt(lateral + zeta * zeta)
+    if np.any(rho == 0.0):
         raise DomainError("current density undefined at the source point")
     am = eps - zeta + rho
+    down = zeta > 0.0
+    am[down] = eps[down] + lateral[down] / (rho[down] + zeta[down])
     coef = zeta * (zeta - eps) + rho * rho
-    if am <= 8.0:
-        p = airy_all(am)
-        val = (zeta * p.ai_prime**2 + coef * p.ai**2) / rho**3
-        return val, 0.0
-    ai_s, aip_s, _, _, za = airy_scaled(am)
-    val = (zeta * aip_s**2 + coef * ai_s**2) / rho**3
-    return val, -2.0 * za
+    val = np.empty_like(am)
+    log_scale = np.zeros_like(am)
+    scaled = am > 8.0
+    plain = ~scaled                     # NaN arguments go here, and raise
+    if plain.any():
+        p = airy.airy_all(am[plain])
+        val[plain] = ((zeta[plain] * p.ai_prime**2 + coef[plain] * p.ai**2)
+                      / rho[plain]**3)
+    if scaled.any():
+        ai_s, aip_s, _, _, za = airy.airy_scaled(am[scaled])
+        val[scaled] = ((zeta[scaled] * aip_s**2 + coef[scaled] * ai_s**2)
+                       / rho[scaled]**3)
+        log_scale[scaled] = -2.0 * za
+    return val, log_scale
 
 
-def current_density_point(
-    sys: PhysicalSystem, src: PointSource, r, energy: float
-) -> float:
+def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     """Current density j_z (1/(m^2 s) times |C|^2 units) of the delta source."""
     p = sys.scale_point(r)
-    eps = -2.0 * sys.beta * energy
-    mant, log_scale = _jz_shape(p.xi, p.nu_y, p.zeta, eps)
+    shape, flat = _flat(p.xi, p.nu_y, p.zeta, _scaled_energy(sys, energy))
+    mant, log_scale = _jz_shape(*flat)
     pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
         2.0 * math.pi * sys.hbar**3
     )
-    return pref * mant * math.exp(log_scale)
+    return (pref * mant * np.exp(log_scale)).reshape(shape)[()]
 
 
-def total_current_point(sys: PhysicalSystem, src: PointSource, energy: float) -> float:
+def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     """Total emitted current J(E) of the delta source; positive for every E.
 
     Below threshold (E < 0) this is the tunneling tail: the closed form is
     entire in E and simply decays.
     """
-    eps = -2.0 * sys.beta * energy
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
-    return pref * math.exp(airy_bracket_log(eps))
+    return pref * np.exp(airy.airy_bracket_log(_scaled_energy(sys, energy)))
 
 
 # ----------------------------------------------------------------------------
@@ -189,23 +220,25 @@ def total_current_point(sys: PhysicalSystem, src: PointSource, energy: float) ->
 # ----------------------------------------------------------------------------
 
 def _require_far_field(g: GaussianScaled, what: str) -> None:
-    if g.rho_tilde < _FAR_FIELD_HARD * g.alpha:
-        raise DomainError(
-            f"{what}: rho~ = {g.rho_tilde:.3g} inside the source core "
-            f"(< {_FAR_FIELD_HARD} alpha = {_FAR_FIELD_HARD * g.alpha:.3g}); "
-            "the far-field form is invalid there"
-        )
-    if g.rho_tilde < _FAR_FIELD_SOFT * g.alpha:
-        warnings.warn(
-            f"{what}: rho~ = {g.rho_tilde:.3g} within {_FAR_FIELD_SOFT} alpha "
-            "of the source; far-field accuracy degrades",
-            stacklevel=3,
-        )
+    """DomainError if any point is inside 3 alpha; one warning if any is
+    inside 5 alpha."""
+    rho = np.asarray(g.rho_tilde)
+    closest = rho.min()
+
+    def near(limit):
+        count = np.count_nonzero(rho < limit * g.alpha)
+        return (f"{what}: {count} of {rho.size} point(s) within {limit:g} alpha "
+                f"= {limit * g.alpha:.3g} of the source, rho~ down to {closest:.3g}")
+
+    if closest < _FAR_FIELD_HARD * g.alpha:
+        raise DomainError(near(_FAR_FIELD_HARD)
+                          + "; the far-field form is invalid inside the source core")
+    if closest < _FAR_FIELD_SOFT * g.alpha:
+        warnings.warn(near(_FAR_FIELD_SOFT) + "; far-field accuracy degrades",
+                      stacklevel=3)
 
 
-def psi_gauss_far(
-    sys: PhysicalSystem, src: GaussianSource, r, energy: float
-) -> complex:
+def psi_gauss_far(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """Far-field wave: a virtual point source shifted upstream by 2 alpha^4.
 
     Exact consequence of the Gaussian r' integration; only the near-field
@@ -217,22 +250,21 @@ def psi_gauss_far(
     am = g.epsilon_tilde - g.zeta_tilde + g.rho_tilde
     mant, log_scale = _bracket_scaled(ap, am)
     log_si = math.log(sys.beta * sys.beta_f**3)
-    return (2.0 / g.rho_tilde) * mant * math.exp(g.log_weight + log_si + log_scale)
+    return ((2.0 / g.rho_tilde) * mant
+            * np.exp(g.log_weight + log_si + log_scale))[()]
 
 
-def psi_gauss_near(
-    sys: PhysicalSystem, src: GaussianSource, r, energy: float
-) -> float:
+def psi_gauss_near(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """Asymptotic near-field contribution; purely real, dies off as a Gaussian."""
     g = gaussian_scaled(sys, src, energy, r)
     log_si = math.log(2.0 * sys.beta * sys.beta_f**3 / math.pi**1.5)
     log_mag = (
         g.log_weight
         + log_si
-        + math.log(math.sqrt(2.0) * g.alpha / g.rho_tilde**2)
+        + np.log(math.sqrt(2.0) * g.alpha / g.rho_tilde**2)
         - g.rho_tilde**2 / (2.0 * g.alpha**2)
     )
-    return math.exp(log_mag)
+    return np.exp(log_mag)[()]
 
 
 def psi_gauss_quadrature(
@@ -246,8 +278,8 @@ def psi_gauss_quadrature(
     with tilde-shifted arguments.
     """
     g = gaussian_scaled(sys, src, energy, r)
-    a = g.zeta_tilde - g.epsilon_tilde
-    rho = g.rho_tilde
+    a = float(g.zeta_tilde - g.epsilon_tilde)
+    rho = float(g.rho_tilde)
     s_hi = 2.0 * g.alpha**2
 
     def f_near(s):
@@ -272,30 +304,28 @@ def psi_gauss_quadrature(
     return (2.0 * near + far) * math.exp(g.log_weight + log_si)
 
 
-def current_density_gauss(
-    sys: PhysicalSystem, src: GaussianSource, r, energy: float
-) -> float:
+def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """Far-field current density: the point formula with tilde-shifted arguments."""
     g = gaussian_scaled(sys, src, energy, r)
     _require_far_field(g, "current_density_gauss")
     p = sys.scale_point(r)
-    mant, log_scale = _jz_shape(p.xi, p.nu_y, g.zeta_tilde, g.epsilon_tilde)
+    shape, flat = _flat(p.xi, p.nu_y, g.zeta_tilde, g.epsilon_tilde, g.log_weight)
+    mant, log_scale = _jz_shape(*flat[:4])
     # |Lambda|^2 m (beta F)^3 / (2 pi hbar^3), assembled in log space
     log_pref = (
-        2.0 * g.log_weight
+        2.0 * flat[4]
         + math.log(sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3))
     )
     exponent = log_pref + log_scale
-    if exponent > 700.0:
+    if np.any(exponent > 700.0):
         raise RangeError(
-            f"current_density_gauss: exponent {exponent:.1f} overflows double range"
+            f"current_density_gauss: exponent {exponent.max():.1f} overflows "
+            "double range"
         )
-    return mant * math.exp(exponent)
+    return (mant * np.exp(exponent)).reshape(shape)[()]
 
 
-def total_current_gauss(
-    sys: PhysicalSystem, src: GaussianSource, energy: float
-) -> float:
+def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
     """Exact total current of the Gaussian source.
 
     J = 64 pi^(3/2) hbar Omega^2 alpha^3 beta
@@ -313,31 +343,29 @@ def total_current_gauss(
         + 3.0 * math.log(g.alpha)
         + math.log(sys.beta)
     )
-    exponent = (
+    exponent = log_pref + (
         4.0 * g.alpha**2 * (g.epsilon_tilde - 4.0 * g.alpha**4 / 3.0)
-        + airy_bracket_log(g.epsilon_tilde)
+        + airy.airy_bracket_log(g.epsilon_tilde)
     )
-    if log_pref + exponent > 709.0:
+    if np.any(exponent > 709.0):
         raise RangeError(
-            f"total_current_gauss: exponent {log_pref + exponent:.1f} "
+            f"total_current_gauss: exponent {np.max(exponent):.1f} "
             "overflows double range"
         )
-    return math.exp(log_pref + exponent)
+    return np.exp(exponent)[()]
 
 
-def total_current_slicing(
-    sys: PhysicalSystem, src: GaussianSource, energy: float
-) -> float:
+def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     """Saddle-point (slicing) current: probes |psi_0|^2 on the plane E + F z = 0.
 
     J_sp = 2 sqrt(pi) hbar Omega^2 beta / alpha * exp(-eps^2/(4 alpha^2)).
     Reliable for wide sources (alpha >> |eps|); in the tunneling regime its
     derivation assumptions fail.
     """
-    g = gaussian_scaled(sys, src, energy)
-    eps = -2.0 * sys.beta * energy
-    pref = 2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / g.alpha
-    return pref * math.exp(-(eps**2) / (4.0 * g.alpha**2))
+    alpha = sys.beta_f * src.width
+    eps = _scaled_energy(sys, energy)
+    pref = 2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / alpha
+    return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
 
 
 def sum_rule_check(
@@ -362,22 +390,38 @@ def sum_rule_check(
     def j_eps(eps):
         return total_current_gauss(sys, src, -eps / (2.0 * sys.beta))
 
+    def integral(lo, hi, epsabs):
+        val, _ = quad(j_eps, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)
+        if not math.isfinite(val):
+            raise ConvergenceError(
+                f"sum_rule_check: J integrates to {val} over scaled energies "
+                f"[{lo:.6g}, {hi:.6g}]"
+            )
+        return val
+
     # E -> eps reverses orientation; J dE = (1/(2 beta)) J deps
     e_lo = -2.0 * sys.beta * energy_range[1]
     e_hi = -2.0 * sys.beta * energy_range[0]
     if e_lo > e_hi:
         e_lo, e_hi = e_hi, e_lo
-    total, _ = quad(j_eps, e_lo, e_hi, limit=400, epsabs=0.0, epsrel=1e-9)
+    total = integral(e_lo, e_hi, 0.0)
     slab = max(e_hi - e_lo, 10.0)
     cut = tol * rhs * 2.0 * sys.beta / 20.0
     for direction in (-1.0, +1.0):
         edge = e_lo if direction < 0 else e_hi
-        while True:
+        for _ in range(_SUM_RULE_EXTENSIONS):
             nxt = edge + direction * slab
             lo, hi = (nxt, edge) if direction < 0 else (edge, nxt)
-            piece, _ = quad(j_eps, lo, hi, limit=400, epsabs=cut / 10.0, epsrel=1e-9)
+            piece = integral(lo, hi, cut / 10.0)
             total += piece
             edge = nxt
             if abs(piece) < cut:
                 break
+        else:
+            raise ConvergenceError(
+                f"sum_rule_check: the J tail past scaled energy {edge:.6g} "
+                f"still adds {abs(piece):.3g} per slab after "
+                f"{_SUM_RULE_EXTENSIONS} extensions (cut {cut:.3g})",
+                estimate=abs(piece) / (2.0 * sys.beta),
+            )
     return total / (2.0 * sys.beta), rhs

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from airybeam.airy import (X_MAX, X_SWITCH, _airy_mid, _airy_pos_asym, airy_all,
+from scipy.special import airy as scipy_airy
+
+from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series_log, airy_all,
                            airy_bracket_log, airy_modulus_asymptotic, airy_scaled)
 from airybeam.errors import DomainError, RangeError
 
@@ -76,19 +78,20 @@ def test_ode_residual():
         assert abs(second - x * airy_all(x).ai) <= 1e-4
 
 
-@pytest.mark.parametrize("center", [-X_SWITCH, X_SWITCH])
+@pytest.mark.parametrize("center", [-X_SWITCH, 8.0])
 def test_branch_continuity_overlap(center):
-    # series/stepping branch against the asymptotic branch on a window of
-    # width 1 straddling each switchover
+    # the two branches on either side of each switchover, on a window of
+    # width 1 straddling it: scipy against the oscillatory asymptotics of
+    # airy_all at -9, the directly formed bracket against its asymptotic
+    # difference series in airy_bracket_log at 8
     for x in np.linspace(center - 0.5, center + 0.5, 21):
-        mid = _airy_mid(float(x))
-        if x < 0:
-            asym = airy_modulus_asymptotic(float(x))
+        ai, aip, bi, bip = scipy_airy(x)
+        if center < 0:
+            pairs = zip(airy_modulus_asymptotic(x), (ai, aip, bi, bip))
         else:
-            a, ap, b, bp, z = _airy_pos_asym(float(x))
-            em, ep = math.exp(-z), math.exp(z)
-            asym = (a * em, ap * em, b * ep, bp * ep)
-        for g, e in zip(mid, asym):
+            series = math.exp(_bracket_series_log(np.array([x]))[0])
+            pairs = [(series, aip**2 - x * ai**2)]
+        for g, e in pairs:
             assert abs(g - e) <= 1e-10 * abs(e)
 
 

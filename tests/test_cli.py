@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import airybeam
 from airybeam.cli import main
 from airybeam.output import RasterImage, ScanResult, write_csv, write_pgm
 
@@ -51,13 +56,20 @@ def test_byte_identical_reruns(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    base = ["total-current", "--preset", "rb-atom-laser", "--n", "30",
-            "--numin", "-4kHz", "--numax", "4kHz"]
-    f1, f2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(base + ["-o", str(f1), "--threads", "1"]) == 0
-    assert main(base + ["-o", str(f2), "--threads", "4"]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+def test_threads_flag_removed(tmp_path):
+    # grids are evaluated as whole arrays; there is no thread pool to size
+    with pytest.raises(SystemExit) as exc:
+        main(["total-current", "--preset", "s-minus", "--n", "10",
+              "--threads", "2", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature paths need scipy.integrate; start-up skips it
+    env = dict(os.environ, PYTHONPATH=str(Path(airybeam.__file__).parents[1]))
+    code = ("import sys, airybeam.cli; "
+            "sys.exit(3 if 'scipy.integrate' in sys.modules else 0)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_detector_image_pgm(tmp_path):

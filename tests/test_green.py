@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from airybeam.errors import DomainError
-from airybeam.green import green_args, green_closed, green_oracle
+import airybeam.green
+from airybeam.errors import ConvergenceError, DomainError
+from airybeam.green import _g_time_scaled, green_args, green_closed, green_oracle
 from airybeam.sources import PointSource, psi_point
 
 from conftest import oracle_panel
@@ -78,6 +80,17 @@ def test_oracle_eta_halving_self_consistency(unit_system):
     g1 = green_oracle(unit_system, r, (0, 0, 0), 0.6, eta=0.05)
     g2 = green_oracle(unit_system, r, (0, 0, 0), 0.6, eta=0.025)
     assert abs(g1.scaled - g2.scaled) <= g1.error_estimate + g2.error_estimate
+
+
+@pytest.mark.parametrize("phase", [0j, complex(math.nan, math.nan)])
+def test_oracle_tail_search_is_bounded(monkeypatch, phase):
+    # a contour phase that never decays (or is NaN) ends the tail search
+    # with an error instead of integrating a truncated tail
+    monkeypatch.setattr(airybeam.green, "_phase", lambda *args: phase)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError, match="not decayed"):
+            _g_time_scaled(1.0, 0.5, 0.1)
 
 
 def test_oracle_free_particle_limit(unit_system):

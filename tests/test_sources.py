@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import airy as scipy_airy
 
+import airybeam.sources
 from airybeam.airy import airy_all
-from airybeam.errors import DomainError, RangeError, UnsupportedModelError
+from airybeam.errors import (ConvergenceError, DomainError, RangeError,
+                             UnsupportedModelError)
 from airybeam.green import green_closed
 from airybeam.scaling import (ELECTRON_MASS, energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
@@ -125,6 +128,26 @@ def test_fringe_minima_at_airy_zeros(o_system):
         js = [current_density_point(o_system, src, (x, 0, 0.514), e) for x in xs]
         r_meas = xs[int(np.argmin(js))]
         assert abs(r_meas - r_pred) <= 2e-3 * r_pred
+
+
+def test_ring_null_current_matches_cancellation_free_reference(o_system):
+    # within 1e-3 of the first dark ring's Airy argument, j_z against
+    # scipy.special.airy at a- = eps + x^2/(rho + zeta); forming a- as
+    # eps - zeta + rho at zeta ~ 5.7e6 would put ~1e-6 relative error here
+    src = PointSource(1.0)
+    e = energy_from_ev(100.5e-6)
+    bf = o_system.beta_f
+    eps = -2 * o_system.beta * e
+    zeta = bf * 0.514
+    am = AIRY_ZEROS[0] + np.linspace(-1e-3, 1e-3, 41)
+    xs = np.sqrt((am - eps) * (am - eps + 2 * zeta)) / bf
+    got = current_density_point(o_system, src, (xs, 0.0, 0.514), e)
+    xi = bf * xs
+    rho = np.sqrt(xi**2 + zeta**2)
+    ai, aip, _, _ = scipy_airy(eps + xi**2 / (rho + zeta))
+    pref = o_system.mass * bf**3 / (2 * math.pi * o_system.hbar**3)
+    ref = pref * (zeta * aip**2 + (zeta * (zeta - eps) + rho**2) * ai**2) / rho**3
+    assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 def test_total_current_point_at_zero_energy(unit_system):
@@ -418,6 +441,22 @@ def test_sum_rule_rhs_scalings(rb_system):
     _, rhs3 = sum_rule_check(rb_system, GaussianSource(2e-6, 100.0), (lo, hi))
     assert_allclose(rhs2, 4.0 * rhs1, rtol=0)   # Omega^2 scaling
     assert rhs3 == rhs1                          # width-independent norm
+
+
+def test_sum_rule_nan_current_raises(rb_system, monkeypatch):
+    monkeypatch.setattr(airybeam.sources, "total_current_gauss",
+                        lambda *args: math.nan)
+    with pytest.raises(ConvergenceError, match="integrates to nan"):
+        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0), (-1e-30, 1e-30))
+
+
+def test_sum_rule_window_extension_is_bounded(rb_system, monkeypatch):
+    # a current that never decays: the window stops growing after a fixed
+    # number of slabs instead of looping forever
+    monkeypatch.setattr(airybeam.sources, "total_current_gauss", lambda *args: 1.0)
+    with pytest.raises(ConvergenceError, match="extensions") as exc:
+        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0), (-1e-30, 1e-30))
+    assert exc.value.estimate > 0.0
 
 
 def test_sum_rule_rejects_point_source(rb_system):
