@@ -4,14 +4,17 @@ Subcommands: total-current, density-profile, detector-image, atom-laser,
 transition, validate.  Deterministic CSV/PGM outputs; every dimensioned
 flag takes a strict unit suffix (``300ueV``, ``2.5kHz``, ``0.4um``,
 ``20ms``, ``423eV/m``) -- bare numbers are rejected so nobody ever guesses
-a unit.  Flags may also be read from a JSON config file with identical key
-names; an ``AIRYBEAM_OUTDIR`` environment variable sets the default output
+a unit.  Every flag that tunes a preset is declared once, in
+``_PRESET_FLAGS``.  A JSON config file supplies flag values under the flag
+names; they are parsed as flags, before the command line, so explicit flags
+win.  An ``AIRYBEAM_OUTDIR`` environment variable sets the default output
 directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -88,7 +91,10 @@ def _field(text):
 
 
 def _widths_list(text: str) -> list[float]:
-    return [_length(part) for part in text.split(",") if part]
+    widths = [_length(part) for part in text.split(",") if part]
+    if not widths:
+        raise argparse.ArgumentTypeError("needs at least one width, e.g. 0.4um,1um")
+    return widths
 
 
 _PRESETS = {
@@ -96,6 +102,42 @@ _PRESETS = {
     "o-minus": o_minus,
     "rb-atom-laser": rb_atom_laser,
 }
+
+# Every flag that tunes a preset: its unit type, the PhotodetachmentPreset
+# field and the AtomLaserPreset field it sets (None: no such field, so the
+# flag exits 2 with that preset), and its help text.
+_PRESET_FLAGS = {
+    "field": (_field, "field_ev_per_m", None, "e.g. 423eV/m"),
+    "energy": (_energy, "energy", None, "e.g. 100.5ueV"),
+    "strength2": (float, "strength2", None, "|C|^2 scale"),
+    "z": (_length, "detector_z", "profile_z", "e.g. 0.514m or 1mm"),
+    "emin": (_energy, "scan_min", None, "e.g. -50ueV"),
+    "emax": (_energy, "scan_max", None, "e.g. 300ueV"),
+    "width": (_length, None, "width", "e.g. 2.8um"),
+    "omega": (_frequency, None, "coupling", "coupling Omega/(2 pi), e.g. 105.585Hz"),
+    "time": (_time, None, "operation_time", "e.g. 20ms"),
+    "n0": (float, None, "atom_count", "initial atom count"),
+    "nu": (_frequency, None, "profile_nu", "e.g. 2.5kHz"),
+    "numin": (_frequency, None, "detuning_min", "e.g. -15kHz"),
+    "numax": (_frequency, None, "detuning_max", "e.g. 15kHz"),
+}
+
+
+def _preset(args, parser):
+    """The chosen preset with every preset flag given applied to it."""
+    preset = _PRESETS[args.preset]()
+    gauss = isinstance(preset, AtomLaserPreset)
+    changes = {}
+    for flag, (_, point_field, gauss_field, _) in _PRESET_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        name = gauss_field if gauss else point_field
+        if name is None:
+            parser.error(f"--{flag} does not apply to preset {args.preset}")
+        # --omega is Omega/(2 pi) in Hz; the preset holds Omega in rad/s
+        changes[name] = 2.0 * math.pi * value if flag == "omega" else value
+    return dataclasses.replace(preset, **changes)
 
 
 def _out_path(args, suffix: str = "") -> str:
@@ -107,34 +149,6 @@ def _out_path(args, suffix: str = "") -> str:
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
     return path
-
-
-def _apply_preset_overrides(preset, args):
-    import dataclasses
-    changes = {}
-    if isinstance(preset, AtomLaserPreset):
-        if getattr(args, "width", None) is not None:
-            changes["width"] = args.width
-        if getattr(args, "omega", None) is not None:
-            changes["coupling"] = 2.0 * math.pi * args.omega
-        if getattr(args, "time", None) is not None:
-            changes["operation_time"] = args.time
-        if getattr(args, "n0", None) is not None:
-            changes["atom_count"] = args.n0
-        if getattr(args, "z", None) is not None:
-            changes["profile_z"] = args.z
-        if getattr(args, "nu", None) is not None:
-            changes["profile_nu"] = args.nu
-    else:
-        if getattr(args, "field", None) is not None:
-            changes["field_ev_per_m"] = args.field
-        if getattr(args, "z", None) is not None:
-            changes["detector_z"] = args.z
-        if getattr(args, "energy", None) is not None:
-            changes["energy"] = args.energy
-        if getattr(args, "strength2", None) is not None:
-            changes["strength2"] = args.strength2
-    return dataclasses.replace(preset, **changes) if changes else preset
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -166,13 +180,17 @@ def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column user CSV (abscissa,value), '#' comments ignored."""
     xs, ys = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b = line.split(",")[:2]
-            xs.append(float(a))
-            ys.append(float(b))
+            try:
+                x, y = map(float, line.split(",")[:2])
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: expected 'abscissa,value', "
+                                  f"got {line!r}") from None
+            xs.append(x)
+            ys.append(y)
     order = np.argsort(xs)
     return np.asarray(xs)[order], np.asarray(ys)[order]
 
@@ -187,24 +205,21 @@ def _write_overlay_pair(args, model_fn) -> None:
         return
     xs, ys = _read_overlay(args.overlay)
     meta = _provenance(args)
-    _write_scan(ScanResult(xs, ys, "abscissa", "user_data", meta), args,
-                suffix="_overlay_data")
+    _write(ScanResult(xs, ys, "abscissa", "user_data", meta), args,
+           suffix="_overlay_data")
     model = model_fn(xs)
-    _write_scan(ScanResult(xs, model, "abscissa", "model", meta), args,
-                suffix="_overlay_model")
+    _write(ScanResult(xs, model, "abscissa", "model", meta), args,
+           suffix="_overlay_model")
 
 
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
 
-def _cmd_total_current(args) -> int:
-    preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
+def _cmd_total_current(args, preset) -> int:
     summary = ""
     if isinstance(preset, AtomLaserPreset):
-        nus = _grid(args.numin if args.numin is not None else preset.detuning_min,
-                    args.numax if args.numax is not None else preset.detuning_max,
-                    args.n)
+        nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
         sys_ = preset.system
         src = preset.source
         model = lambda nu: total_current_gauss(sys_, src, energy_from_frequency(nu))
@@ -217,16 +232,11 @@ def _cmd_total_current(args) -> int:
                         energy_from_frequency(nus[0])))
         summary = f", sum-rule ratio {lhs / rhs:.6f}"
     else:
-        emin = args.emin if args.emin is not None else preset.scan_min
-        emax = args.emax if args.emax is not None else preset.scan_max
-        energies = _grid(emin, emax, args.n)
-        sys_ = preset.system
-        src = preset.source
-        model = lambda e: total_current_point(sys_, src, e)
+        energies = _grid(preset.scan_min, preset.scan_max, args.n)
+        model = lambda e: total_current_point(preset.system, preset.source, e)
         result = photodetachment_cross_section(preset, energies)
-        result = ScanResult(result.abscissa, result.values, result.xlabel,
-                            result.ylabel, dict(result.meta, **_provenance(args)))
-    _write_scan(result, args)
+        result = dataclasses.replace(result, meta=dict(result.meta, **_provenance(args)))
+    _write(result, args)
     _write_overlay_pair(args, model)
     ipk = int(np.argmax(result.values))
     print(f"total-current: {len(result.values)} points, peak value "
@@ -235,8 +245,7 @@ def _cmd_total_current(args) -> int:
     return 0
 
 
-def _cmd_density_profile(args) -> int:
-    preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
+def _cmd_density_profile(args, preset) -> int:
     sys_ = preset.system
     src = preset.source
     energy, z = detector_plane(preset)
@@ -258,33 +267,21 @@ def _cmd_density_profile(args) -> int:
                     epsilon=-2.0 * sys_.beta * energy,
                     zeta=sys_.beta_f * z, half_width_m=half_width)
     result = ScanResult(xs, j, "x_m", "j_z", meta)
-    _write_scan(result, args)
+    _write(result, args)
     print(f"density-profile: peak j_z = {result.values.max():.6g} -> {_out_path(args)}")
     return 0
 
 
-def _cmd_detector_image(args) -> int:
-    preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
+def _cmd_detector_image(args, preset) -> int:
     image = detector_image(preset, half_width=args.half_width, resolution=args.n)
-    path = _out_path(args)
-    if args.format == "json":
-        doc = {"pixels": image.pixels.tolist(), "half_width_m": image.half_width,
-               "meta": {k: image.meta[k] for k in sorted(image.meta)}}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    else:
-        write_pgm(image, path)
+    _write(image, args)
     print(f"detector-image: {args.n}x{args.n} pixels, half-width "
-          f"{image.half_width:.6g} m, peak {image.peak:.6g} -> {path}")
+          f"{image.half_width:.6g} m, peak {image.peak:.6g} -> {_out_path(args)}")
     return 0
 
 
-def _cmd_atom_laser(args) -> int:
-    preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
-    nus = _grid(args.numin if args.numin is not None else preset.detuning_min,
-                args.numax if args.numax is not None else preset.detuning_max,
-                args.n)
+def _cmd_atom_laser(args, preset) -> int:
+    nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
     curve = atom_laser_depletion(preset, nus)
     detunings = -curve.detunings[::-1] if args.flip_detuning else curve.detunings
     fractions = curve.fractions[::-1] if args.flip_detuning else curve.fractions
@@ -293,7 +290,7 @@ def _cmd_atom_laser(args) -> int:
                 beta=preset.system.beta,
                 alpha=preset.system.beta_f * preset.width)
     result = ScanResult(detunings, counts, "nu_Hz", "atoms_remaining", meta)
-    _write_scan(result, args)
+    _write(result, args)
     sys_ = preset.system
     src = preset.source
     sign = -1.0 if args.flip_detuning else 1.0
@@ -314,18 +311,14 @@ def _cmd_atom_laser(args) -> int:
     return 0
 
 
-def _cmd_transition(args) -> int:
-    preset = _apply_preset_overrides(_PRESETS[args.preset](), args)
-    nus = _grid(args.numin if args.numin is not None else preset.detuning_min,
-                args.numax if args.numax is not None else preset.detuning_max,
-                args.n)
+def _cmd_transition(args, preset) -> int:
+    nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
     curves = current_transition_scan(preset, args.widths, nus)
-    areas = []
     for c in curves:
         tag = f"_a{c.width*1e6:g}um"
-        _write_scan(c.exact, args, suffix=f"{tag}_exact")
-        _write_scan(c.slicing, args, suffix=f"{tag}_slicing")
-        areas.append(c.area)
+        _write(c.exact, args, suffix=f"{tag}_exact")
+        _write(c.slicing, args, suffix=f"{tag}_slicing")
+    areas = [c.area for c in curves]
     rhs = 2.0 * math.pi * HBAR * preset.coupling**2
     spread = (max(areas) - min(areas)) / rhs
     print(f"transition: {len(curves)} widths, sum-rule area ratios = "
@@ -334,7 +327,7 @@ def _cmd_transition(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, _preset) -> int:
     failures = 0
     if args.suite in ("all", "sum-rule"):
         preset = rb_atom_laser()
@@ -393,23 +386,28 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _write_scan(result: ScanResult, args, suffix: str = "") -> None:
-    path = _out_path(args, suffix)
-    if getattr(args, "format", "csv") == "json":
-        write_json(result, path)
-    else:
-        write_csv(result, path)
+def _write(result, args, suffix: str = "") -> None:
+    """Write a ScanResult or RasterImage in the format chosen by ``--format``."""
+    writer = {"csv": write_csv, "json": write_json, "pgm": write_pgm}[args.format]
+    writer(result, _out_path(args, suffix))
 
 
 # ----------------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------------
 
-def _add_common(p, fmt_choices=("csv", "json")):
+def _add_common(p, preset: str, flags: str, presets=tuple(sorted(_PRESETS)),
+                formats=("csv", "json")):
+    """Output, format, config and preset flags, plus the named preset flags."""
     p.add_argument("-o", "--output", required=True, help="output file path")
-    p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file with flag values (identical key names)")
+                   help="JSON object of flag values under the flag names, parsed "
+                        "like flags; flags given on the command line win")
+    p.add_argument("--preset", choices=presets, default=preset)
+    for flag in flags.split():
+        kind, _, _, help_ = _PRESET_FLAGS[flag]
+        p.add_argument(f"--{flag}", type=kind, default=None, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,76 +417,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"airybeam {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    overlay_help = "user CSV of measured points to emit alongside the model"
+    image_flags = "energy nu z field strength2 width omega"
 
     p = sub.add_parser("total-current", help="total current J over an energy/detuning scan")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="s-minus")
-    p.add_argument("--emin", type=_energy, default=None, help="e.g. -50ueV")
-    p.add_argument("--emax", type=_energy, default=None, help="e.g. 300ueV")
-    p.add_argument("--numin", type=_frequency, default=None, help="e.g. -15kHz")
-    p.add_argument("--numax", type=_frequency, default=None, help="e.g. 15kHz")
+    _add_common(p, "s-minus", "emin emax numin numax field strength2 width omega")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--field", type=_field, default=None, help="e.g. 423eV/m")
-    p.add_argument("--strength2", type=float, default=None, help="|C|^2 scale")
-    p.add_argument("--width", type=_length, default=None, help="e.g. 2.8um")
-    p.add_argument("--omega", type=_frequency, default=None,
-                   help="coupling Omega/(2 pi), e.g. 105.585Hz")
-    p.add_argument("--overlay", type=str, default=None,
-                   help="user CSV of measured points to emit alongside the model")
+    p.add_argument("--overlay", type=str, default=None, help=overlay_help)
     p.set_defaults(fn=_cmd_total_current)
 
     p = sub.add_parser("density-profile", help="lateral current-density profile")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="o-minus")
-    p.add_argument("--energy", type=_energy, default=None, help="e.g. 100.5ueV")
-    p.add_argument("--nu", type=_frequency, default=None, help="e.g. 2.5kHz")
-    p.add_argument("--z", type=_length, default=None, help="e.g. 0.514m or 1mm")
+    _add_common(p, "o-minus", image_flags)
     p.add_argument("--half-width", type=_length, default=None, help="e.g. 1.2mm")
     p.add_argument("--n", type=int, default=1201)
-    p.add_argument("--field", type=_field, default=None)
-    p.add_argument("--strength2", type=float, default=None)
-    p.add_argument("--width", type=_length, default=None)
-    p.add_argument("--omega", type=_frequency, default=None)
     p.set_defaults(fn=_cmd_density_profile)
 
     p = sub.add_parser("detector-image", help="square raster of j_z on the detector plane")
-    _add_common(p, fmt_choices=("pgm", "json"))
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="o-minus")
-    p.add_argument("--energy", type=_energy, default=None)
-    p.add_argument("--nu", type=_frequency, default=None)
-    p.add_argument("--z", type=_length, default=None)
-    p.add_argument("--half-width", type=_length, default=None)
+    _add_common(p, "o-minus", image_flags, formats=("pgm", "json"))
+    p.add_argument("--half-width", type=_length, default=None, help="e.g. 1.2mm")
     p.add_argument("--n", type=int, default=512, help="resolution (pixels per side)")
-    p.add_argument("--field", type=_field, default=None)
-    p.add_argument("--strength2", type=float, default=None)
-    p.add_argument("--width", type=_length, default=None)
-    p.add_argument("--omega", type=_frequency, default=None)
     p.set_defaults(fn=_cmd_detector_image)
 
     p = sub.add_parser("atom-laser", help="remaining-atom depletion curve N(T)")
-    _add_common(p)
-    p.add_argument("--preset", choices=("rb-atom-laser",), default="rb-atom-laser")
-    p.add_argument("--width", type=_length, default=None, help="e.g. 2.8um")
-    p.add_argument("--omega", type=_frequency, default=None, help="e.g. 105.585Hz")
-    p.add_argument("--time", type=_time, default=None, help="e.g. 20ms")
-    p.add_argument("--numin", type=_frequency, default=None)
-    p.add_argument("--numax", type=_frequency, default=None)
+    _add_common(p, "rb-atom-laser", "width omega time numin numax n0",
+                presets=("rb-atom-laser",))
     p.add_argument("--n", type=int, default=601)
-    p.add_argument("--n0", type=float, default=None, help="initial atom count")
     p.add_argument("--flip-detuning", action="store_true",
                    help="mirror the detuning axis (sign convention is not universal)")
-    p.add_argument("--overlay", type=str, default=None,
-                   help="user CSV of measured points to emit alongside the model")
+    p.add_argument("--overlay", type=str, default=None, help=overlay_help)
     p.set_defaults(fn=_cmd_atom_laser)
 
     p = sub.add_parser("transition", help="exact vs slicing currents across source widths")
-    _add_common(p)
-    p.add_argument("--preset", choices=("rb-atom-laser",), default="rb-atom-laser")
+    _add_common(p, "rb-atom-laser", "omega numin numax", presets=("rb-atom-laser",))
     p.add_argument("--widths", type=_widths_list, default=[2e-7, 4e-7, 1e-6, 2.8e-6],
                    help="comma list, e.g. 0.2um,0.4um,1um,2.8um")
-    p.add_argument("--omega", type=_frequency, default=100.0)
-    p.add_argument("--numin", type=_frequency, default=None)
-    p.add_argument("--numax", type=_frequency, default=None)
     p.add_argument("--n", type=int, default=801)
     p.set_defaults(fn=_cmd_transition)
 
@@ -505,24 +467,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args, parser):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _config_argv(path, parser) -> list[str]:
+    """A JSON config file as flag tokens: ``{"n": 17, "widths": ["1um"]}`` is
+    ``--n 17 --widths 1um``; ``true`` sets a switch and ``false`` leaves it off."""
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                parser.error(f"config key {key!r} is not a flag of this subcommand")
-            setattr(args, attr, val)
-    return args
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {path}: expected a JSON object of flag values")
+    argv = []
+    for key, val in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(val, bool):
+            argv += [flag] * val
+        elif isinstance(val, list):
+            argv += [flag, ",".join(map(str, val))]
+        else:
+            argv += [flag, str(val)]
+    return argv
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
+    if getattr(args, "config", None):
+        # config flags go right after the subcommand: the command line wins
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_argv(args.config, parser) + argv[at:])
     try:
-        return args.fn(args)
+        preset = _preset(args, parser) if hasattr(args, "preset") else None
+        return args.fn(args, preset)
     except (ConvergenceError, RangeError) as exc:
         est = getattr(exc, "estimate", None)
         detail = f" (error estimate {est:.3e})" if est is not None else ""

@@ -98,8 +98,20 @@ def write_csv(result: ScanResult, path) -> None:
         fh.write(data)
 
 
-def write_json(result: ScanResult, path) -> None:
-    """JSON rendering of a ScanResult (same provenance, exact doubles via repr)."""
+def write_json(result: ScanResult | RasterImage, path) -> None:
+    """JSON rendering of a ScanResult or a RasterImage (exact doubles via repr).
+
+    Image pixels are encoded row by row, never as one string of the raster.
+    """
+    if isinstance(result, RasterImage):
+        head = json.dumps({"half_width_m": result.half_width, "meta": result.meta},
+                          sort_keys=True)
+        with open(path, "w") as fh:
+            fh.write(head[:-1] + ', "pixels": [')      # "pixels" sorts last
+            for i, row in enumerate(result.pixels):
+                fh.write((", " if i else "") + json.dumps(row.tolist()))
+            fh.write("]}\n")
+        return
     doc = {
         "airybeam": __version__,
         "meta": {k: result.meta[k] for k in sorted(result.meta)},

@@ -58,6 +58,8 @@ class PhotodetachmentPreset:
             raise DomainError("PhotodetachmentPreset: field must be > 0")
         if not self.detector_z > 0.0:
             raise DomainError("PhotodetachmentPreset: detector distance must be > 0")
+        if not (math.isfinite(self.strength2) and self.strength2 > 0.0):
+            raise DomainError("PhotodetachmentPreset: strength2 must be finite and > 0")
 
     @property
     def system(self) -> PhysicalSystem:
@@ -217,6 +219,8 @@ def detector_image(
     sys, j_of_r = _radial_density(preset, energy, z)
     if half_width is None:
         half_width = default_half_width(sys, energy, z)
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise DomainError(f"detector_image: half_width must be finite and > 0, got {half_width}")
     n_rad = max(4 * resolution, 1024)
     r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, n_rad)
     j_rad = np.clip(j_of_r(r_grid), 0.0, None)   # clip FP noise at ring nulls

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 import airybeam
 from airybeam.cli import main
-from airybeam.output import RasterImage, ScanResult, write_csv, write_pgm
+from airybeam.errors import DomainError
+from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
+from airybeam.scenarios import detector_image, o_minus
 
 
 def read_csv(path):
@@ -248,3 +250,156 @@ def test_atom_laser_reports_both_peak_conventions(tmp_path, capsys):
 
 def test_validate_subcommand_runs():
     assert main(["validate", "--suite", "sum-rule"]) == 0
+
+
+# ----------------------------------------------------------------------------
+# one parameter path: preset flags, --config and the writers
+# ----------------------------------------------------------------------------
+
+_POINT_FLAGS = {"field", "energy", "strength2", "z", "emin", "emax"}
+_RB_FLAGS = {"z", "width", "omega", "time", "n0", "nu", "numin", "numax"}
+_APPLIES = {"s-minus": _POINT_FLAGS, "o-minus": _POINT_FLAGS,
+            "rb-atom-laser": _RB_FLAGS}
+_FLAG_VALUES = {"field": "500eV/m", "energy": "80ueV", "strength2": "2",
+                "z": "2mm", "emin": "-10ueV", "emax": "200ueV", "width": "1um",
+                "omega": "90Hz", "time": "10ms", "n0": "1000", "nu": "2kHz",
+                "numin": "-5kHz", "numax": "5kHz"}
+_ALL_PRESETS = ("s-minus", "o-minus", "rb-atom-laser")
+_IMAGE_FLAGS = "energy nu z field strength2 width omega"
+# subcommand: presets it takes, its preset flags, small-grid arguments
+_COMMANDS = {
+    "total-current": (_ALL_PRESETS, "emin emax numin numax field strength2 width omega",
+                      ["--n", "6"]),
+    "density-profile": (_ALL_PRESETS, _IMAGE_FLAGS, ["--n", "6"]),
+    "detector-image": (_ALL_PRESETS, _IMAGE_FLAGS, ["--n", "4", "--format", "json"]),
+    "atom-laser": (("rb-atom-laser",), "width omega time numin numax n0", ["--n", "6"]),
+    "transition": (("rb-atom-laser",), "omega numin numax",
+                   ["--n", "6", "--widths", "1um"]),
+}
+_CASES = [(cmd, preset, flag) for cmd, (presets, flags, _) in _COMMANDS.items()
+          for preset in presets for flag in flags.split()]
+
+
+def _outputs(tmp_path, stem):
+    return b"".join(p.read_bytes() for p in sorted(tmp_path.glob(stem + "*")))
+
+
+@pytest.mark.parametrize("command,preset,flag", _CASES)
+def test_preset_flag_applies_or_exits_2(tmp_path, command, preset, flag):
+    base = [command, "--preset", preset, *_COMMANDS[command][2]]
+    argv = base + [f"--{flag}", _FLAG_VALUES[flag], "-o", str(tmp_path / "flag.out")]
+    if flag not in _APPLIES[preset]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
+    assert main(argv) == 0
+    assert main(base + ["-o", str(tmp_path / "base.out")]) == 0
+    assert _outputs(tmp_path, "flag") != _outputs(tmp_path, "base")
+    if command not in ("detector-image", "transition"):   # no provenance header
+        assert f"arg_{flag}" in read_csv(tmp_path / "flag.out")[2]
+
+
+def test_transition_takes_omega_from_preset(tmp_path):
+    rc = main(["transition", "--n", "6", "--widths", "1um", "-o", str(tmp_path / "t.csv")])
+    assert rc == 0
+    _, _, meta = read_csv(tmp_path / "t_a1um_exact.csv")
+    assert float(meta["coupling_rad_per_s"]) == 2.0 * math.pi * 105.585
+
+
+def _main_with_config(tmp_path, cfg, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(argv + ["--config", str(path)])
+
+
+def test_config_values_parse_with_units(tmp_path):
+    out = tmp_path / "p.csv"
+    rc = _main_with_config(tmp_path, {"width": "0.4um"},
+                           ["density-profile", "--preset", "rb-atom-laser",
+                            "--n", "11", "-o", str(out)])
+    assert rc == 0
+    assert float(read_csv(out)[2]["arg_width"]) == pytest.approx(0.4e-6, rel=1e-15)
+
+
+def test_config_bare_number_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _main_with_config(tmp_path, {"width": 0.4},
+                          ["density-profile", "--preset", "rb-atom-laser",
+                           "--n", "11", "-o", str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+
+
+def test_explicit_flag_beats_config(tmp_path):
+    out = tmp_path / "scan.csv"
+    rc = _main_with_config(tmp_path, {"n": 17},
+                           ["total-current", "--emin", "0ueV", "--emax", "100ueV",
+                            "--n", "12", "-o", str(out)])
+    assert rc == 0
+    assert read_csv(out)[0].size == 12
+
+
+def test_config_switch_matches_flag(tmp_path):
+    base = ["atom-laser", "--n", "11", "--numin", "-3kHz", "--numax", "3kHz"]
+    assert main(base + ["--flip-detuning", "-o", str(tmp_path / "flag.csv")]) == 0
+    assert _main_with_config(tmp_path, {"flip_detuning": True},
+                             base + ["-o", str(tmp_path / "cfg.csv")]) == 0
+    assert _main_with_config(tmp_path, {"flip_detuning": False},
+                             base + ["-o", str(tmp_path / "off.csv")]) == 0
+    x_flag, _, _ = read_csv(tmp_path / "flag.csv")
+    assert_allclose(read_csv(tmp_path / "cfg.csv")[0], x_flag, rtol=0)
+    assert_allclose(read_csv(tmp_path / "off.csv")[0], -x_flag[::-1], rtol=0)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "invalid", "not-an-object"])
+def test_bad_config_file_exits_2(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["total-current", "--n", "5", "--config", str(cfg),
+              "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_strength2_exits_1(tmp_path, value, capsys):
+    rc = main(["total-current", "--n", "5", "--strength2", value,
+               "-o", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "strength2" in capsys.readouterr().err
+
+
+def test_negative_image_half_width_exits_1(tmp_path, capsys):
+    rc = main(["detector-image", "--n", "8", "--half-width", "-1mm",
+               "-o", str(tmp_path / "x.pgm")])
+    assert rc == 1
+    assert "half_width" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        detector_image(o_minus(), half_width=math.nan, resolution=8)
+
+
+@pytest.mark.parametrize("row", ["1000", "1000,abc"], ids=["one-column", "non-numeric"])
+def test_malformed_overlay_row_exits_1(tmp_path, row, capsys):
+    overlay = tmp_path / "meas.csv"
+    overlay.write_text(f"# measured\n{row}\n")
+    rc = main(["atom-laser", "--n", "11", "--overlay", str(overlay),
+               "-o", str(tmp_path / "dep.csv")])
+    assert rc == 1
+    assert f"{overlay}:2" in capsys.readouterr().err
+
+
+def test_empty_widths_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["transition", "--widths", "", "-o", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+
+
+def test_write_json_raster_image_bytes(tmp_path):
+    img = RasterImage(np.array([[0.0, 1.5], [2.25, 1e-300], [0.1, 7.0]]),
+                      half_width=1.25e-3, meta={"z_m": 0.5, "beta": 2.0})
+    write_json(img, tmp_path / "img.json")
+    doc = {"pixels": img.pixels.tolist(), "half_width_m": img.half_width,
+           "meta": img.meta}
+    assert (tmp_path / "img.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
