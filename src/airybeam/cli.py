@@ -90,10 +90,19 @@ def _field(text):
     return _parse_with_units(text, "field")
 
 
+def _width_tag(width: float) -> str:
+    """The file-name tag of one ``transition`` width."""
+    return f"_a{width*1e6:g}um"
+
+
 def _widths_list(text: str) -> list[float]:
     widths = [_length(part) for part in text.split(",") if part]
     if not widths:
         raise argparse.ArgumentTypeError("needs at least one width, e.g. 0.4um,1um")
+    tags = [_width_tag(w) for w in widths]
+    if len(set(tags)) != len(tags):
+        raise argparse.ArgumentTypeError(
+            f"duplicate width in {text!r}: each width names its own output files")
     return widths
 
 
@@ -191,6 +200,8 @@ def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
                                   f"got {line!r}") from None
             xs.append(x)
             ys.append(y)
+    if not xs:
+        raise DomainError(f"{path}: no data rows, expected 'abscissa,value' lines")
     order = np.argsort(xs)
     return np.asarray(xs)[order], np.asarray(ys)[order]
 
@@ -252,6 +263,9 @@ def _cmd_density_profile(args, preset) -> int:
     half_width = args.half_width
     if half_width is None:
         half_width = default_half_width(sys_, energy, z)
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise DomainError(f"density-profile: half_width must be finite and > 0, "
+                          f"got {half_width}")
     xs = _grid(-half_width, half_width, args.n)
     if isinstance(preset, AtomLaserPreset):
         j = current_density_gauss(sys_, src, (xs, 0.0, z), energy)
@@ -315,7 +329,7 @@ def _cmd_transition(args, preset) -> int:
     nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
     curves = current_transition_scan(preset, args.widths, nus)
     for c in curves:
-        tag = f"_a{c.width*1e6:g}um"
+        tag = _width_tag(c.width)
         _write(c.exact, args, suffix=f"{tag}_exact")
         _write(c.slicing, args, suffix=f"{tag}_slicing")
     areas = [c.area for c in curves]

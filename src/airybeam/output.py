@@ -9,12 +9,15 @@ time- or environment-dependent ever enters a header.
 PGM: binary P5, 16-bit big-endian samples, max-normalized, with a
 ``<name>.meta.json`` sidecar recording the physical extent and the
 normalization factor.
+
+JSON: exact doubles via ``repr``.  An image formats each distinct pixel
+value once and writes the rows from those strings, with the same bytes
+``json.dumps`` gives for the whole document.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +67,7 @@ class RasterImage:
         p = np.asarray(self.pixels, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise DomainError("RasterImage: pixels must be a non-empty 2-D array")
-        if np.any(p < 0.0) or np.any(np.isnan(p)):
+        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
             raise DomainError("RasterImage: intensities must be finite and >= 0")
         object.__setattr__(self, "pixels", p)
 
@@ -102,14 +105,23 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
     """JSON rendering of a ScanResult or a RasterImage (exact doubles via repr).
 
     Image pixels are encoded row by row, never as one string of the raster.
+    Each distinct double is formatted once; the bytes equal those of
+    ``json.dumps(doc, sort_keys=True)`` on the whole image document.
     """
     if isinstance(result, RasterImage):
         head = json.dumps({"half_width_m": result.half_width, "meta": result.meta},
                           sort_keys=True)
+        # the image repeats few distinct doubles (an 8-fold symmetric ring):
+        # format each once and look every pixel up by its bit pattern, which
+        # keeps -0.0 and 0.0 apart where a float comparison would not
+        bits = result.pixels.view(np.uint64)
+        keys = np.unique(bits)
+        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
         with open(path, "w") as fh:
             fh.write(head[:-1] + ', "pixels": [')      # "pixels" sorts last
-            for i, row in enumerate(result.pixels):
-                fh.write((", " if i else "") + json.dumps(row.tolist()))
+            for i, row in enumerate(bits):
+                fh.write((", [" if i else "[")
+                         + ", ".join(text[np.searchsorted(keys, row)].tolist()) + "]")
             fh.write("]}\n")
         return
     doc = {
@@ -140,7 +152,7 @@ def write_pgm(image: RasterImage, path) -> None:
         "height": h,
         "half_width_m": image.half_width,
         "pixel_size_m": 2.0 * image.half_width / w,
-        "normalization_peak": peak if math.isfinite(peak) else None,
+        "normalization_peak": peak,
         "meta": {k: image.meta[k] for k in sorted(image.meta)},
     }
     with open(str(path) + ".meta.json", "wb") as fh:

@@ -403,3 +403,30 @@ def test_write_json_raster_image_bytes(tmp_path):
     doc = {"pixels": img.pixels.tolist(), "half_width_m": img.half_width,
            "meta": img.meta}
     assert (tmp_path / "img.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_overlay_without_data_rows_exits_1(tmp_path, capsys):
+    overlay = tmp_path / "empty.csv"
+    overlay.write_text("# only comments\n\n")
+    rc = main(["atom-laser", "--n", "11", "--overlay", str(overlay),
+               "-o", str(tmp_path / "dep.csv")])
+    assert rc == 1
+    assert f"{overlay}: no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "dep_overlay_data.csv").exists()
+
+
+@pytest.mark.parametrize("widths", ["1um,1um", "1um,0.4um,1000nm"])
+def test_duplicate_widths_exit_2(tmp_path, widths, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transition", "--n", "6", "--widths", widths,
+              "-o", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "duplicate width" in capsys.readouterr().err
+
+
+def test_negative_profile_half_width_exits_1(tmp_path, capsys):
+    rc = main(["density-profile", "--n", "8", "--half-width", "-1mm",
+               "-o", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert "half_width must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
