@@ -27,6 +27,7 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
 from .green import green_closed, green_oracle
 from .output import ScanResult, write_csv, write_json, write_pgm
+from .quadrature import gauss_kronrod
 from .scaling import (HBAR, energy_from_ev, energy_from_frequency, make_system)
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
                         current_transition_scan, default_half_width,
@@ -44,14 +45,19 @@ _TIME = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 _FREQ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6}
 
 
-def _parse_with_units(text: str, kind: str) -> float:
-    m = _UNIT_RE.match(text)
-    if not m:
-        raise argparse.ArgumentTypeError(
-            f"{kind} value {text!r} needs a unit suffix (bare numbers are rejected)"
-        )
-    value = float(m.group(1))
-    unit = m.group(2)
+def _finite_float(text: str) -> float:
+    """A bare number flag; ``inf``, ``nan`` and overflowing literals exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value {text!r} is not finite")
+    return value
+
+
+def _si_value(value: float, unit: str, kind: str) -> float | None:
+    """``value`` in ``unit`` converted to SI; None for a unit ``kind`` lacks."""
     if kind == "energy":
         if unit == "J":
             return value
@@ -67,7 +73,21 @@ def _parse_with_units(text: str, kind: str) -> float:
         return value * _FREQ[unit]
     elif kind == "field" and unit in ("eV/m", "V/m"):
         return value                          # eV/m per unit charge; presets convert
-    raise argparse.ArgumentTypeError(f"unknown {kind} unit {unit!r} in {text!r}")
+    return None
+
+
+def _parse_with_units(text: str, kind: str) -> float:
+    m = _UNIT_RE.match(text)
+    if not m:
+        raise argparse.ArgumentTypeError(
+            f"{kind} value {text!r} needs a unit suffix (bare numbers are rejected)"
+        )
+    value = _si_value(float(m.group(1)), m.group(2), kind)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"unknown {kind} unit {m.group(2)!r} in {text!r}")
+    if not math.isfinite(value):              # e.g. 1e999um, or 1e305MHz
+        raise argparse.ArgumentTypeError(f"{kind} value {text!r} is not finite")
+    return value
 
 
 def _energy(text):
@@ -118,14 +138,14 @@ _PRESETS = {
 _PRESET_FLAGS = {
     "field": (_field, "field_ev_per_m", None, "e.g. 423eV/m"),
     "energy": (_energy, "energy", None, "e.g. 100.5ueV"),
-    "strength2": (float, "strength2", None, "|C|^2 scale"),
+    "strength2": (_finite_float, "strength2", None, "|C|^2 scale"),
     "z": (_length, "detector_z", "profile_z", "e.g. 0.514m or 1mm"),
     "emin": (_energy, "scan_min", None, "e.g. -50ueV"),
     "emax": (_energy, "scan_max", None, "e.g. 300ueV"),
     "width": (_length, None, "width", "e.g. 2.8um"),
     "omega": (_frequency, None, "coupling", "coupling Omega/(2 pi), e.g. 105.585Hz"),
     "time": (_time, None, "operation_time", "e.g. 20ms"),
-    "n0": (float, None, "atom_count", "initial atom count"),
+    "n0": (_finite_float, None, "atom_count", "initial atom count"),
     "nu": (_frequency, None, "profile_nu", "e.g. 2.5kHz"),
     "numin": (_frequency, None, "detuning_min", "e.g. -15kHz"),
     "numax": (_frequency, None, "detuning_max", "e.g. 15kHz"),
@@ -378,7 +398,6 @@ def _cmd_validate(args, _preset) -> int:
         failures += not ok
         print(f"[{'ok' if ok else 'FAIL'}] oracle agreement: worst rel {worst:.3e}")
     if args.suite in ("all", "flux"):
-        from scipy.integrate import quad
         o = o_minus()
         sys_ = o.system
         src = o.source
@@ -388,7 +407,7 @@ def _cmd_validate(args, _preset) -> int:
         for z in (0.35, 0.514):
             zeta = sys_.beta_f * z
             r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys_.beta_f
-            flux, _ = quad(
+            flux, _ = gauss_kronrod(
                 lambda R: current_density_point(sys_, src, (R, 0.0, z), energy)
                 * 2.0 * math.pi * R,
                 0.0, r_max, limit=2000, epsrel=1e-10)

@@ -172,10 +172,12 @@ def _integrand(tau: complex, rho: float, a: float, eta_s: float) -> complex:
 def quad(func, a, b, **kwargs):
     """``scipy.integrate.quad``, imported on first use.
 
-    Only the quadrature paths need it, and importing ``scipy.integrate``
-    costs more start-up time than the rest of the package, so the grid
-    commands never load it.  It is a module attribute, not a local import,
-    so that callers can wrap it (e.g. to count integrand evaluations).
+    Only the contour oracle below loads it: its integrands are complex.
+    The real integrals (sum rule, flux check, the near segment of the psi
+    reference) use ``airybeam.quadrature``, and importing
+    ``scipy.integrate`` costs more start-up time than the rest of the
+    package.  It is a module attribute, not a local import, so that callers
+    can wrap it (e.g. to count integrand evaluations).
     """
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, **kwargs)

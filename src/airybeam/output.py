@@ -45,8 +45,8 @@ class ScanResult:
             raise DomainError("ScanResult: abscissa and values must be equal-length 1-D")
         if not np.all(np.diff(x) > 0.0):
             raise DomainError("ScanResult: abscissa must be strictly increasing")
-        if np.any(np.isnan(x)) or np.any(np.isnan(y)):
-            raise DomainError("ScanResult: NaN values are not allowed")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DomainError("ScanResult: abscissa and values must be finite")
         object.__setattr__(self, "abscissa", x)
         object.__setattr__(self, "values", y)
 

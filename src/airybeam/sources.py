@@ -20,8 +20,9 @@ Exponential weights are combined in log space throughout: for wide sources
 Lambda overflows while every physical observable stays moderate.
 
 The closed forms take arrays: the components of ``r`` and the energy
-broadcast against each other, and scalars in give scalars out.  Quadrature
-callers pass scalars through the same code.
+broadcast against each other, and scalars in give scalars out.  The sum rule
+and the near segment of the psi reference integrate with
+``quadrature.gauss_kronrod``, which hands the integrand arrays of nodes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from . import airy
 # (perfbench/tracing.py).
 from .airy import airy_all, airy_bracket_log, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
-from .green import _bracket_scaled, _g_time_scaled, green_closed, quad
+from .green import _bracket_scaled, _g_time_scaled, green_closed
+# bound as ``quad`` so that instrumentation can wrap it (perfbench/tracing.py)
+from .quadrature import gauss_kronrod as quad
 from .scaling import PhysicalSystem
 
 __all__ = [
@@ -284,12 +287,12 @@ def psi_gauss_quadrature(
 
     def f_near(s):
         arg = -rho * rho / s + a * s + s**3 / 12.0
-        if arg > 700.0:
+        if np.any(arg > 700.0):
             raise RangeError(
                 "psi_gauss_quadrature: integrand exponent out of double range; "
                 "use psi_gauss_far/psi_gauss_near for this parameter regime"
             )
-        return (math.pi * s) ** -1.5 * math.exp(arg)
+        return (math.pi * s) ** -1.5 * np.exp(arg)
 
     s_min = min(rho * rho / 45.0, 0.5 * s_hi)
     near, near_err = quad(f_near, s_min, s_hi, limit=200, epsabs=1e-13, epsrel=1e-11)
@@ -391,13 +394,7 @@ def sum_rule_check(
         return total_current_gauss(sys, src, -eps / (2.0 * sys.beta))
 
     def integral(lo, hi, epsabs):
-        val, _ = quad(j_eps, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)
-        if not math.isfinite(val):
-            raise ConvergenceError(
-                f"sum_rule_check: J integrates to {val} over scaled energies "
-                f"[{lo:.6g}, {hi:.6g}]"
-            )
-        return val
+        return quad(j_eps, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)[0]
 
     # E -> eps reverses orientation; J dE = (1/(2 beta)) J deps
     e_lo = -2.0 * sys.beta * energy_range[1]

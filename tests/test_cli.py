@@ -66,12 +66,23 @@ def test_threads_flag_removed(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature paths need scipy.integrate; start-up skips it
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # only the Green-function oracle needs scipy.integrate: start-up, the sum
+    # rule and the flux suite integrate with airybeam.quadrature
     env = dict(os.environ, PYTHONPATH=str(Path(airybeam.__file__).parents[1]))
     code = ("import sys, airybeam.cli; "
             "sys.exit(3 if 'scipy.integrate' in sys.modules else 0)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = str(tmp_path / "x.csv")
+    code = ("import sys; from airybeam.cli import main; rc = main(sys.argv[1:]); "
+            "sys.exit(3 if 'scipy.integrate' in sys.modules else rc)")
+    for argv in (["total-current", "--preset", "rb-atom-laser", "--n", "50", "-o", out],
+                 ["transition", "--widths", "0.4um", "--n", "50", "-o", out],
+                 ["validate", "--suite", "sum-rule"],
+                 ["validate", "--suite", "flux"]):
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, (argv, run.returncode, run.stderr)
 
 
 def test_detector_image_pgm(tmp_path):
@@ -363,12 +374,32 @@ def test_bad_config_file_exits_2(tmp_path, content):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1"])
 def test_bad_strength2_exits_1(tmp_path, value, capsys):
     rc = main(["total-current", "--n", "5", "--strength2", value,
                "-o", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "strength2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["total-current", "--strength2", "inf"],
+    ["total-current", "--strength2", "nan"],
+    ["atom-laser", "--n0", "1e999"],
+    ["total-current", "--emax", "1e999ueV"],
+    ["total-current", "--preset", "rb-atom-laser", "--width", "1e999um"],
+    ["atom-laser", "--time", "1e999ms"],
+    ["atom-laser", "--numax", "1e305MHz"],       # finite literal, product overflows
+    ["total-current", "--field", "1e999eV/m"],
+], ids=["strength2-inf", "strength2-nan", "n0", "energy", "length", "time",
+        "frequency", "field"])
+def test_non_finite_flag_exits_2(tmp_path, argv, capsys):
+    # one case per flag type: bare numbers and each unit kind
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}:" in err and "not finite" in err
 
 
 def test_negative_image_half_width_exits_1(tmp_path, capsys):

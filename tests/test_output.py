@@ -1,4 +1,5 @@
-"""The detector-image JSON writer against ``json.dumps`` of the whole document.
+"""The detector-image JSON writer against ``json.dumps`` of the whole document,
+and the finiteness checks of the result types.
 
 ``write_json`` formats each distinct pixel value of a ``RasterImage`` once;
 these tests hold its bytes to the plain encoding of
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from airybeam.errors import DomainError
-from airybeam.output import RasterImage, write_json
+from airybeam.output import RasterImage, ScanResult, write_json
 from airybeam.scenarios import detector_image, o_minus, rb_atom_laser
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -68,3 +69,17 @@ def test_raster_rejects_non_finite_or_negative(bad):
     with pytest.raises(DomainError, match="finite and >= 0"):
         RasterImage(np.array([[1.0, bad]]), half_width=1.0)
 
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_scan_rejects_non_finite_values(bad):
+    # an inf would reach the CSV as "inf" and the JSON as "Infinity"
+    with pytest.raises(DomainError, match="finite"):
+        ScanResult(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 3.0]))
+
+
+@pytest.mark.parametrize("abscissa", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
+                         ids=["inf", "-inf"])
+def test_scan_rejects_infinite_abscissa(abscissa):
+    with pytest.raises(DomainError, match="finite"):
+        ScanResult(np.array(abscissa), np.ones(3))
