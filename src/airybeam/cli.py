@@ -23,19 +23,20 @@ import sys as _sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, validation
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
-from .green import green_closed, green_oracle
+# ``validation`` calls these.  They stay bound here for instrumentation
+# that wraps them by name (perfbench/tracing.py).
+from .green import green_closed, green_oracle  # noqa: F401
 from .output import ScanResult, write_csv, write_json, write_pgm
-from .quadrature import gauss_kronrod
-from .scaling import (HBAR, energy_from_ev, energy_from_frequency, make_system)
+from .scaling import HBAR, energy_from_ev, energy_from_frequency
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
                         current_transition_scan, default_half_width,
                         detector_image, detector_plane, o_minus,
                         photodetachment_cross_section, rb_atom_laser, s_minus)
-from .sources import (GaussianSource, current_density_gauss,
-                      current_density_point, gaussian_scaled, sum_rule_check,
-                      total_current_gauss, total_current_point)
+from .sources import (current_density_gauss, current_density_point,
+                      gaussian_scaled, sum_rule_check, total_current_gauss,
+                      total_current_point)
 
 _UNIT_RE = re.compile(r"^\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*([^\s0-9][^\s]*)\s*$")
 
@@ -207,7 +208,7 @@ def _provenance(args) -> dict:
 
 def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column user CSV (abscissa,value), '#' comments ignored."""
-    xs, ys = [], []
+    rows = {}                                 # abscissa -> value
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -218,12 +219,15 @@ def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: expected 'abscissa,value', "
                                   f"got {line!r}") from None
-            xs.append(x)
-            ys.append(y)
-    if not xs:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DomainError(f"{path}:{lineno}: values must be finite, got {line!r}")
+            if x in rows:
+                raise DomainError(f"{path}:{lineno}: abscissa {x:g} repeats an earlier row")
+            rows[x] = y
+    if not rows:
         raise DomainError(f"{path}: no data rows, expected 'abscissa,value' lines")
-    order = np.argsort(xs)
-    return np.asarray(xs)[order], np.asarray(ys)[order]
+    xs, ys = zip(*sorted(rows.items()))
+    return np.asarray(xs), np.asarray(ys)
 
 
 def _write_overlay_pair(args, model_fn) -> None:
@@ -362,59 +366,15 @@ def _cmd_transition(args, preset) -> int:
 
 
 def _cmd_validate(args, _preset) -> int:
+    suites = {"sum-rule": lambda: validation.sum_rule(rb_atom_laser()),
+              "oracle": lambda: [validation.oracle_agreement(20)],
+              "flux": lambda: validation.flux(o_minus(), (0.35, 0.514))}
     failures = 0
-    if args.suite in ("all", "sum-rule"):
-        preset = rb_atom_laser()
-        sys_ = preset.system
-        for a_um in (0.2, 0.5, 1.0, 2.8):
-            src = GaussianSource(a_um * 1e-6, preset.coupling)
-            lo = energy_from_frequency(preset.detuning_min)
-            hi = energy_from_frequency(preset.detuning_max)
-            lhs, rhs = sum_rule_check(sys_, src, (min(lo, hi), max(lo, hi)))
-            ok = abs(lhs / rhs - 1.0) <= 5e-3
-            failures += not ok
-            print(f"[{'ok' if ok else 'FAIL'}] sum-rule a={a_um}um: "
-                  f"ratio = {lhs/rhs:.8f}")
-    if args.suite in ("all", "oracle"):
-        sys_ = make_system(4.0, 1.0, 1.0)
-        rng = np.random.default_rng(20240501)
-        worst = 0.0
-        n = 0
-        while n < 20:
-            rho = rng.uniform(0.1, 10.0)
-            u = rng.uniform(-10.0, 10.0)
-            costh = rng.uniform(-1.0, 1.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            sth = math.sqrt(1.0 - costh**2)
-            r = (rho * sth * math.cos(phi), rho * sth * math.sin(phi), rho * costh)
-            energy = -(r[2] - u) / 2.0
-            gc = green_closed(sys_, r, (0.0, 0.0, 0.0), energy)
-            if abs(gc.scaled) < 1e-3:
-                continue    # beneath the oracle's absolute-noise floor
-            go = green_oracle(sys_, r, (0.0, 0.0, 0.0), energy, eta=0.05)
-            worst = max(worst, abs(gc.scaled - go.scaled) / abs(gc.scaled))
-            n += 1
-        ok = worst <= 1e-6
-        failures += not ok
-        print(f"[{'ok' if ok else 'FAIL'}] oracle agreement: worst rel {worst:.3e}")
-    if args.suite in ("all", "flux"):
-        o = o_minus()
-        sys_ = o.system
-        src = o.source
-        energy = o.energy
-        j_total = total_current_point(sys_, src, energy)
-        eps = -2.0 * sys_.beta * energy
-        for z in (0.35, 0.514):
-            zeta = sys_.beta_f * z
-            r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys_.beta_f
-            flux, _ = gauss_kronrod(
-                lambda R: current_density_point(sys_, src, (R, 0.0, z), energy)
-                * 2.0 * math.pi * R,
-                0.0, r_max, limit=2000, epsrel=1e-10)
-            ok = abs(flux / j_total - 1.0) <= 1e-3
-            failures += not ok
-            print(f"[{'ok' if ok else 'FAIL'}] flux conservation z={z} m: "
-                  f"ratio = {flux/j_total:.8f}")
+    for name, run in suites.items():
+        if args.suite in ("all", name):
+            for check in run():
+                failures += not check.ok
+                print(check)
     print(f"validate: {'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
     return 0 if failures == 0 else 1
 

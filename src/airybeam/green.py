@@ -13,7 +13,7 @@ Two routes to the same object:
 * ``green_oracle`` -- the causal Laplace transform of the uniform-field
   propagator, evaluated by adaptive quadrature along a deformed contour in
   scaled time, with an explicit +i*eta damping and Richardson extrapolation
-  eta -> 0.  Exists purely for validation (the CLI ``validate`` command).
+  eta -> 0.  Exists purely for validation (``airybeam.validation``).
 
 Everything internal is dimensionless: G = beta*(beta F)^3 * g(scaled args).
 The closed form takes arrays: the components of ``r`` and ``r_src`` and the

@@ -56,12 +56,6 @@ class PhysicalSystem:
         """Inverse length scale beta*F (1/m)."""
         return self.beta * self.force
 
-    def scale_length(self, x: float) -> float:
-        return self.beta_f * x
-
-    def unscale_length(self, xi: float) -> float:
-        return xi / self.beta_f
-
     def scale_energy(self, energy: float) -> "ScaledEnergy":
         return ScaledEnergy(-2.0 * self.beta * energy)
 

@@ -35,8 +35,8 @@ __all__ = [
     "PhotodetachmentPreset", "AtomLaserPreset", "DepletionCurve",
     "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser",
     "photodetachment_cross_section", "detector_image", "detector_plane",
-    "default_half_width", "atom_laser_depletion", "beam_profile_family",
-    "current_transition_scan",
+    "radial_density", "default_half_width", "atom_laser_depletion",
+    "beam_profile_family", "current_transition_scan",
 ]
 
 
@@ -175,8 +175,8 @@ def photodetachment_cross_section(
     return ScanResult(energies, j, xlabel="energy_J", ylabel="current_per_s", meta=meta)
 
 
-def _radial_density(preset, energy: float, z: float):
-    """Returns j_z(R) of R arrays for either preset flavour."""
+def radial_density(preset, energy: float, z: float):
+    """The system and j_z(R) on the plane z, R an array, of either preset."""
     sys = preset.system
     src = preset.source
     if isinstance(preset, AtomLaserPreset):
@@ -216,7 +216,7 @@ def detector_image(
     z = z0 if z is None else z
     if z <= 0.0:
         raise DomainError("detector_image: detector plane must be downstream (z > 0)")
-    sys, j_of_r = _radial_density(preset, energy, z)
+    sys, j_of_r = radial_density(preset, energy, z)
     if half_width is None:
         half_width = default_half_width(sys, energy, z)
     if not (math.isfinite(half_width) and half_width > 0.0):

@@ -1,4 +1,3 @@
-import math
 import sys
 from pathlib import Path
 
@@ -7,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))   # oracles / frozen references
 
-from airybeam.green import green_closed
 from airybeam.scaling import make_system
 
 
@@ -21,29 +19,6 @@ def unit_system():
 def rb_system():
     from airybeam.scaling import G_EARTH, RB87_MASS
     return make_system(RB87_MASS, RB87_MASS * G_EARTH)
-
-
-def oracle_panel(sys_u, n, seed=20240501, floor=1e-3):
-    """Pseudo-random scaled points with |zeta - eps| <= 10, rho in [0.1, 10].
-
-    Points whose Green-function magnitude falls below ``floor`` (scaled
-    units) are redrawn: there the exact value is exponentially small and a
-    double-precision time-domain quadrature carries no relative
-    information, so a relative comparison would test noise, not physics.
-    """
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < n:
-        rho = rng.uniform(0.1, 10.0)
-        u = rng.uniform(-10.0, 10.0)
-        costh = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        sth = math.sqrt(1.0 - costh**2)
-        r = (rho * sth * math.cos(phi), rho * sth * math.sin(phi), rho * costh)
-        energy = -(r[2] - u) / 2.0
-        if abs(green_closed(sys_u, r, (0.0, 0.0, 0.0), energy).scaled) >= floor:
-            pts.append((r, energy))
-    return pts
 
 
 def count_local_maxima(y) -> int:

@@ -7,23 +7,22 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from airybeam.airy import X_MAX, airy_all
 from airybeam.cli import main
-from airybeam.green import green_closed, green_oracle
-from airybeam.scaling import energy_from_frequency, make_system
+from airybeam.scaling import make_system
 from airybeam.scenarios import (beam_profile_family, current_transition_scan,
                                 o_minus, rb_atom_laser)
 from airybeam.sources import (GaussianSource, PointSource,
                               current_density_gauss, current_density_point,
                               equivalent_point_strength, gaussian_scaled,
                               psi_gauss_far, psi_gauss_quadrature, psi_point,
-                              source_amplitude, sum_rule_check,
-                              total_current_gauss, total_current_point)
+                              source_amplitude, total_current_gauss,
+                              total_current_point)
+from airybeam.validation import flux, oracle_agreement, sum_rule
 
 from airy_reference import PANEL
-from conftest import count_local_maxima, oracle_panel
+from conftest import count_local_maxima
 
 
 def _report(name, ok, detail):
@@ -31,27 +30,18 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def test_oracle_equivalence(unit_system):
-    pts = oracle_panel(unit_system, 50)
-    worst = 0.0
-    for r, e in pts:
-        gc = green_closed(unit_system, r, (0.0, 0.0, 0.0), e).scaled
-        go = green_oracle(unit_system, r, (0.0, 0.0, 0.0), e, eta=0.05).scaled
-        worst = max(worst, abs(gc - go) / abs(gc))
-    _report("oracle equivalence (50 pts)", worst <= 1e-6,
-            f"worst relative deviation {worst:.3e} (budget 1e-6)")
+def _report_checks(name, checks):
+    _report(name, all(c.ok for c in checks), "; ".join(map(str, checks)))
 
 
-def test_sum_rule(rb_system):
-    worst = 0.0
-    coupling = 2 * math.pi * 105.585
-    lo, hi = energy_from_frequency(-5e3), energy_from_frequency(5e3)
-    for a_um in (0.2, 0.5, 1.0, 2.8):
-        src = GaussianSource(a_um * 1e-6, coupling)
-        lhs, rhs = sum_rule_check(rb_system, src, (min(lo, hi), max(lo, hi)))
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    _report("sum rule (a = 0.2/0.5/1.0/2.8 um)", worst <= 0.005,
-            f"worst |ratio - 1| = {worst:.2e} (budget 5e-3)")
+def test_oracle_equivalence():
+    _report_checks("oracle equivalence (50 pts)", [oracle_agreement(50)])
+
+
+def test_sum_rule():
+    preset = dataclasses.replace(rb_atom_laser(), detuning_min=-5e3,
+                                 detuning_max=5e3)
+    _report_checks("sum rule (a = 0.2/0.5/1.0/2.8 um)", sum_rule(preset))
 
 
 def test_point_source_limit(unit_system):
@@ -93,33 +83,12 @@ def test_algebraic_identity(unit_system):
             f"worst relative deviation {worst:.3e} (budget 1e-12)")
 
 
-def test_flux_conservation(rb_system):
-    worst = 0.0
-    # photodetachment preset, two downstream planes
-    o = o_minus()
-    sys_o = o.system
-    src_o = o.source
-    eps = -2.0 * sys_o.beta * o.energy
-    for z in (0.35, 0.514):
-        zeta = sys_o.beta_f * z
-        r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys_o.beta_f
-        flux, _ = quad(lambda R: current_density_point(sys_o, src_o, (R, 0, z),
-                                                       o.energy) * 2 * math.pi * R,
-                       0, r_max, limit=2000, epsrel=1e-10)
-        worst = max(worst, abs(flux / total_current_point(sys_o, src_o, o.energy) - 1))
-    # a = 0.4 um atom-laser preset
-    src_g = GaussianSource(0.4e-6, 2 * math.pi * 100.0)
-    e = energy_from_frequency(2.5e3)
-    for z in (0.7e-3, 1.0e-3):
-        g = gaussian_scaled(rb_system, src_g, e, (0.0, 0.0, z))
-        r_max = (math.sqrt((12.0 - g.epsilon_tilde + g.zeta_tilde) ** 2
-                           - g.zeta_tilde**2) / rb_system.beta_f)
-        flux, _ = quad(lambda R: current_density_gauss(rb_system, src_g,
-                                                       (R, 0, z), e)
-                       * 2 * math.pi * R, 0, r_max, limit=2000, epsrel=1e-10)
-        worst = max(worst, abs(flux / total_current_gauss(rb_system, src_g, e) - 1))
-    _report("flux conservation (O- and a = 0.4 um, two planes each)",
-            worst <= 1e-3, f"worst |flux/J - 1| = {worst:.2e} (budget 1e-3)")
+def test_flux_conservation():
+    atom_laser = dataclasses.replace(rb_atom_laser(), width=0.4e-6,
+                                     coupling=2 * math.pi * 100.0)
+    _report_checks("flux conservation (O- and a = 0.4 um, two planes each)",
+                   flux(o_minus(), (0.35, 0.514))
+                   + flux(atom_laser, (0.7e-3, 1.0e-3)))
 
 
 def test_wigner_law(unit_system):

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import airybeam
+from airybeam import validation
 from airybeam.cli import main
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
@@ -263,6 +264,14 @@ def test_validate_subcommand_runs():
     assert main(["validate", "--suite", "sum-rule"]) == 0
 
 
+def test_validate_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(validation, "flux", lambda preset, planes: [
+        validation.Check("flux conservation z=1 m", 1.5, 1e-3, False)])
+    assert main(["validate", "--suite", "flux"]) == 1
+    assert capsys.readouterr().out == ("[FAIL] flux conservation z=1 m: ratio = 1.50000000\n"
+                                       "validate: 1 check(s) FAILED\n")
+
+
 # ----------------------------------------------------------------------------
 # one parameter path: preset flags, --config and the writers
 # ----------------------------------------------------------------------------
@@ -411,14 +420,16 @@ def test_negative_image_half_width_exits_1(tmp_path, capsys):
         detector_image(o_minus(), half_width=math.nan, resolution=8)
 
 
-@pytest.mark.parametrize("row", ["1000", "1000,abc"], ids=["one-column", "non-numeric"])
-def test_malformed_overlay_row_exits_1(tmp_path, row, capsys):
+@pytest.mark.parametrize("rows, line", [
+    ("1000", 2), ("1000,abc", 2), ("nan,3", 2), ("inf,3", 2), ("1,2\n1,3", 3),
+], ids=["one-column", "non-numeric", "nan", "inf", "repeated-abscissa"])
+def test_malformed_overlay_row_exits_1(tmp_path, rows, line, capsys):
     overlay = tmp_path / "meas.csv"
-    overlay.write_text(f"# measured\n{row}\n")
+    overlay.write_text(f"# measured\n{rows}\n")
     rc = main(["atom-laser", "--n", "11", "--overlay", str(overlay),
                "-o", str(tmp_path / "dep.csv")])
     assert rc == 1
-    assert f"{overlay}:2" in capsys.readouterr().err
+    assert f"{overlay}:{line}:" in capsys.readouterr().err
 
 
 def test_empty_widths_exits_2(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 from airybeam.errors import DomainError
 from airybeam.scaling import (HBAR, energy_from_ev, energy_from_frequency)
@@ -12,6 +11,7 @@ from airybeam.scenarios import (atom_laser_depletion, beam_profile_family,
                                 o_minus, photodetachment_cross_section,
                                 rb_atom_laser, s_minus)
 from airybeam.sources import total_current_gauss
+from airybeam.validation import flux
 
 from conftest import count_local_maxima
 
@@ -220,20 +220,10 @@ def test_beam_profiles_even_in_lateral_coordinate():
 def test_beam_profile_revolved_flux():
     # revolving a profile recovers the total current
     import dataclasses
-    preset = dataclasses.replace(rb_atom_laser(), coupling=2 * math.pi * 100.0)
-    a = 0.4e-6
-    sys = preset.system
-    e = energy_from_frequency(preset.profile_nu)
-    from airybeam.sources import GaussianSource, current_density_gauss
-    src = GaussianSource(a, preset.coupling)
-    g_alpha = sys.beta_f * a
-    eps_t = -2 * sys.beta * e + 4 * g_alpha**4
-    zeta_t = sys.beta_f * preset.profile_z + 2 * g_alpha**4
-    r_max = math.sqrt((12.0 - eps_t + zeta_t) ** 2 - zeta_t**2) / sys.beta_f
-    flux, _ = quad(lambda R: current_density_gauss(
-        sys, src, (R, 0.0, preset.profile_z), e) * 2 * math.pi * R,
-        0.0, r_max, limit=2000, epsrel=1e-10)
-    assert_allclose(flux, total_current_gauss(sys, src, e), rtol=1e-3)
+    preset = dataclasses.replace(rb_atom_laser(), width=0.4e-6,
+                                 coupling=2 * math.pi * 100.0)
+    (check,) = flux(preset, [preset.profile_z])
+    assert check.ok, check
 
 
 def test_transition_scan_structure():

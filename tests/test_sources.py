@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from airybeam.green import green_closed
 from airybeam.scaling import (ELECTRON_MASS, energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
                               make_system)
+from airybeam.scenarios import o_minus, rb_atom_laser
 from airybeam.sources import (GaussianSource, PointSource,
                               current_density_gauss, current_density_point,
                               equivalent_point_strength, gaussian_scaled,
@@ -23,6 +25,7 @@ from airybeam.sources import (GaussianSource, PointSource,
                               source_amplitude, sum_rule_check,
                               total_current_gauss, total_current_point,
                               total_current_slicing, virtual_source_shift)
+from airybeam.validation import flux
 
 # Airy zeros a_k (Ai(a_k) = 0), used for fringe positions
 AIRY_ZEROS = [-2.33810741045976704, -4.08794944413097061, -5.52055982809555106]
@@ -100,18 +103,10 @@ def test_current_density_point_downstream_positive(unit_system):
         assert current_density_point(unit_system, src, (0, 0, z), 1.0) > 0.0
 
 
-def test_point_flux_equals_total_current(o_system):
+def test_point_flux_equals_total_current():
     # detector-plane integral of j_z against the closed-form J at 1e-4
-    src = PointSource(1.0)
-    e = energy_from_ev(100.5e-6)
-    j_tot = total_current_point(o_system, src, e)
-    eps = -2 * o_system.beta * e
-    z = 0.514
-    zeta = o_system.beta_f * z
-    r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / o_system.beta_f
-    flux, _ = quad(lambda R: current_density_point(o_system, src, (R, 0, z), e)
-                   * 2 * math.pi * R, 0, r_max, limit=2000, epsrel=1e-10)
-    assert_allclose(flux, j_tot, rtol=1e-4)
+    (check,) = flux(o_minus(), [0.514])
+    assert abs(check.value - 1.0) <= 1e-4, check
 
 
 def test_fringe_minima_at_airy_zeros(o_system):
@@ -337,16 +332,10 @@ def test_total_current_gauss_vs_point_identity(unit_system):
         assert abs(jg - jp) <= 1e-12 * jp
 
 
-def test_gauss_flux_equals_total_current(rb_system):
-    src = GaussianSource(0.4e-6, 2 * math.pi * 100.0)
-    e = energy_from_frequency(2.5e3)
-    j_tot = total_current_gauss(rb_system, src, e)
-    g = gaussian_scaled(rb_system, src, e, (0.0, 0.0, 1e-3))
-    r_max = (math.sqrt((12.0 - g.epsilon_tilde + g.zeta_tilde) ** 2
-                       - g.zeta_tilde**2) / rb_system.beta_f)
-    flux, _ = quad(lambda R: current_density_gauss(rb_system, src, (R, 0, 1e-3), e)
-                   * 2 * math.pi * R, 0, r_max, limit=2000, epsrel=1e-10)
-    assert_allclose(flux, j_tot, rtol=1e-3)
+def test_gauss_flux_equals_total_current():
+    preset = replace(rb_atom_laser(), width=0.4e-6, coupling=2 * math.pi * 100.0)
+    (check,) = flux(preset, [1e-3])
+    assert check.ok, check
 
 
 def test_continuity_equation_with_source_term(unit_system):
