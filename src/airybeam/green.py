@@ -11,9 +11,10 @@ Two routes to the same object:
   the production path.
 
 * ``green_oracle`` -- the causal Laplace transform of the uniform-field
-  propagator, evaluated by adaptive quadrature along a deformed contour in
-  scaled time, with an explicit +i*eta damping and Richardson extrapolation
-  eta -> 0.  Exists purely for validation (``airybeam.validation``).
+  propagator in scaled time, integrated with ``airybeam.quadrature`` along a
+  contour through the saddle of its phase, with an explicit +i*eta damping
+  and Richardson extrapolation eta -> 0.  Exists purely for validation
+  (``airybeam.validation``).
 
 Everything internal is dimensionless: G = beta*(beta F)^3 * g(scaled args).
 The closed form takes arrays: the components of ``r`` and ``r_src`` and the
@@ -34,6 +35,8 @@ from . import airy
 # (perfbench/tracing.py).
 from .airy import airy_all, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError
+# bound as ``quad`` so that instrumentation can wrap it (perfbench/tracing.py)
+from .quadrature import gauss_kronrod as quad
 from .scaling import PhysicalSystem
 
 __all__ = ["GreenArgs", "GreenValue", "green_args", "green_closed", "green_oracle"]
@@ -155,88 +158,58 @@ _QUAD_LIMIT = 400
 _TAIL_GROWTHS = 16          # tail cut-off search: y = 5 * 1.6^k, k < 16 (y < 6e3)
 
 
-def _phase(tau: complex, rho: float, a: float, eta_s: float) -> complex:
+def _phase(tau, rho: float, a: float, eta_s: float):
     return 1j * (rho * rho / tau + a * tau - tau**3 / 12.0) - eta_s * tau
 
 
-def _integrand(tau: complex, rho: float, a: float, eta_s: float) -> complex:
+def _integrand(tau, rho: float, a: float, eta_s: float):
     ph = _phase(tau, rho, a, eta_s)
-    if ph.real > 700.0:
+    if np.any(ph.real > 700.0):
         raise ConvergenceError(
             "time-integral contour magnitude out of double range; the "
             "quadrature path does not reach this parameter regime"
         )
-    return -2j * (1j * math.pi * tau) ** -1.5 * cmath.exp(ph)
+    return -2j * (1j * math.pi * tau) ** -1.5 * np.exp(ph)
 
 
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on first use.
+def _contour(rho: float, a: float) -> list[complex]:
+    """Polygon from the origin to the start of the tail ray, through the saddle.
 
-    Only the contour oracle below loads it: its integrands are complex.
-    The real integrals (sum rule, flux check, the near segment of the psi
-    reference) use ``airybeam.quadrature``, and importing
-    ``scipy.integrate`` costs more start-up time than the rest of the
-    package.  It is a module attribute, not a local import, so that callers
-    can wrap it (e.g. to count integrand evaluations).
+    The phase rho^2/tau + a tau - tau^3/12 is stationary where
+    tau^4 - 4 a tau^2 + 4 rho^2 = 0.  With two real saddles (a >= rho) the
+    path dips below the origin, where exp(i rho^2/tau) decays, and follows the
+    real axis past both.  Otherwise it ends at the saddle in the lower
+    half-plane: down the imaginary axis when a <= -rho, where the integrand
+    is real, and to sqrt(2a - 2i sqrt(rho^2 - a^2)) in between.  A saddle
+    above the dip's ray (a > rho/2) is reached by way of the dip, since near
+    the real axis exp(i rho^2/tau) oscillates undamped.  Nothing cancels
+    along these paths.
     """
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(func, a, b, **kwargs)
-
-
-def _quad_c(f, lo, hi):
-    val, err = quad(f, lo, hi, complex_func=True, limit=_QUAD_LIMIT,
-                    epsabs=1e-13, epsrel=1e-11)
-    return val, abs(err)
+    tau_c = min(max(0.2 * rho, 0.05), 2.0)
+    dip = [0.0, tau_c * cmath.exp(-1j * _THETA_IN)]
+    if a >= rho:
+        return dip + [tau_c, max(2.0 * math.sqrt(a) + 6.0, 12.0)]
+    if a > -rho:
+        saddle = cmath.sqrt(complex(2.0 * a, -2.0 * math.sqrt(rho * rho - a * a)))
+        return dip + [saddle] if cmath.phase(saddle) > -_THETA_IN else [0.0, saddle]
+    return [0.0, -1j * math.sqrt(-2.0 * a + 2.0 * math.sqrt(a * a - rho * rho))]
 
 
 def _g_time_scaled(rho: float, a: float, eta_s: float) -> tuple[complex, float]:
     """Scaled Green function as the damped propagator transform.
 
     Integrates -2i (i pi tau)^(-3/2) exp(i rho^2/tau + i a tau - i tau^3/12
-    - eta_s tau) over a contour equivalent to the positive real axis:
-
-      1. a ray tau = t e^{-i theta} from the origin (the essential
-         singularity exp(i rho^2/tau) decays super-exponentially there),
-      2. a chord back up to the real axis at tau_c,
-      3. the real segment [tau_c, T] past all stationary points,
-      4. a descending tail ray where the cubic phase term decays.
-
-    The integrand is analytic between this contour and the real axis, and
-    the closing arcs vanish, so the deformation is exact.
+    - eta_s tau) along the polygon of ``_contour``, then down a ray at
+    -pi/6 where the cubic phase term decays.  The integrand is analytic
+    between this contour and the positive real axis, and the closing arcs
+    vanish, so the deformation is exact.  Each straight piece is one
+    ``quad`` over its parameter in [0, 1].
     """
-    sin_in = math.sin(_THETA_IN)
-    tau_c = min(max(0.2 * rho, 0.05), 2.0)
-    # entry ray; integrand dead below t_min
-    t_min = rho * rho * sin_in / 45.0
-    e_in = cmath.exp(-1j * _THETA_IN)
-
-    def f_ray(t):
-        return _integrand(t * e_in, rho, a, eta_s) * e_in
-
-    v1, e1 = _quad_c(f_ray, min(t_min, tau_c * 0.999), tau_c)
-
-    # chord from tau_c e^{-i theta} to tau_c
-    z0 = tau_c * e_in
-    dz = tau_c - z0
-
-    def f_chord(s):
-        return _integrand(z0 + s * dz, rho, a, eta_s) * dz
-
-    v2, e2 = _quad_c(f_chord, 0.0, 1.0)
-
-    # real segment past the classical turning structure
-    T = max(2.0 * math.sqrt(max(a, 0.0)) + 6.0, 12.0)
-
-    def f_real(t):
-        return _integrand(t, rho, a, eta_s)
-
-    v3, e3 = _quad_c(f_real, tau_c, T)
-
-    # descending tail: cubic term gives exp(-(y-growth)) decay; find cutoff
+    path = _contour(rho, a)
     e_tail = cmath.exp(-1j * _THETA_TAIL)
 
     def log_mag(y):
-        return _phase(T + y * e_tail, rho, a, eta_s).real
+        return _phase(path[-1] + y * e_tail, rho, a, eta_s).real
 
     y_hi = 5.0
     base = max(log_mag(0.0), 0.0)
@@ -249,13 +222,16 @@ def _g_time_scaled(rho: float, a: float, eta_s: float) -> tuple[complex, float]:
             f"green oracle: the contour tail has not decayed by e^-42 at "
             f"y = {y_hi:.4g} (rho = {rho:.6g}, a = {a:.6g})"
         )
+    path.append(path[-1] + y_hi * e_tail)
 
-    def f_tail(y):
-        return _integrand(T + y * e_tail, rho, a, eta_s) * e_tail
-
-    v4, e4 = _quad_c(f_tail, 0.0, y_hi)
-
-    return v1 + v2 + v3 + v4, e1 + e2 + e3 + e4
+    total, total_err = 0j, 0.0
+    for z0, z1 in zip(path[:-1], path[1:]):
+        dz = z1 - z0
+        val, err = quad(lambda s: _integrand(z0 + s * dz, rho, a, eta_s) * dz,
+                        0.0, 1.0, limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-11)
+        total += val
+        total_err += err
+    return total, total_err
 
 
 def _neville_at_zero(xs, ys):

@@ -1,8 +1,10 @@
 """Scan curves, detector rasters, and their deterministic file formats.
 
 CSV: ``#``-prefixed header lines carrying the full parameter provenance
-(sorted keys, fixed formatting), then ``abscissa,value`` rows with 17
-significant digits -- parsing them back recovers the doubles bit-exactly.
+(sorted keys, fixed formatting, each character outside printable ASCII
+escaped as in a Python literal, so one value stays one ASCII line), then
+``abscissa,value`` rows with 17 significant digits -- parsing them back
+recovers the doubles bit-exactly.
 Identical inputs must produce byte-identical files, so nothing
 time- or environment-dependent ever enters a header.
 
@@ -80,12 +82,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _escape(text: str) -> str:
+    """``text`` with each character outside printable ASCII backslash-escaped."""
+    return "".join(c if " " <= c <= "~" else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
+
+
 def _header_lines(meta: dict, columns: str) -> list[str]:
     lines = [f"# airybeam {__version__}"]
     for key in sorted(meta):
         val = meta[key]
-        if isinstance(val, float):
-            val = _fmt(val)
+        val = _fmt(val) if isinstance(val, float) else _escape(str(val))
         lines.append(f"# {key} = {val}")
     lines.append(f"# columns: {columns}")
     return lines

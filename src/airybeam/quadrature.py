@@ -1,12 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature of real integrands that take arrays.
+"""Adaptive Gauss-Kronrod quadrature of real or complex integrands that take arrays.
 
 The 21-point Kronrod rule with its embedded 10-point Gauss rule (QUADPACK's
 QK21 constants and error formula), so an error estimate here means what one
-from ``scipy.integrate.quad`` means.  Each pass evaluates the nodes of every
-subinterval still being refined in one call of the integrand, then bisects
-each subinterval whose error is above its share of the target, the share
-being proportional to its length.  NumPy only: the grid commands never
-import ``scipy.integrate``.
+from ``scipy.integrate.quad`` means; for a complex integrand the formula is
+applied to |K21 - G10| and the moduli of the values.  Each pass evaluates
+the nodes of every subinterval still being refined in one call of the
+integrand, then bisects each subinterval whose error is above its share of
+the target, the share being proportional to its length.  NumPy only: the
+package never imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _rule(f, lo, hi):
     """QK21 value and error estimate on each interval [lo[i], hi[i]]."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = centre[:, None] + half[:, None] * NODES
-    fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,))
-    fx = fx.reshape(x.shape)
+    fx = np.asarray(f(x.ravel()))
+    fx = np.broadcast_to(fx.astype(np.result_type(fx, float)), (x.size,)).reshape(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):   # NaN raises later
         resk = fx @ KRONROD
         resabs = np.abs(fx) @ KRONROD * half
@@ -70,10 +71,11 @@ def _rule(f, lo, hi):
 
 
 def gauss_kronrod(f, a, b, *, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
-    """(integral of f over [a, b], error estimate), as ``scipy.integrate.quad``.
+    """(integral of f over [a, b], error estimate).
 
-    ``f`` maps a 1-D array of abscissae to an array of values (or a scalar
-    broadcast to them).  Refinement stops once the summed error estimate is
+    ``f`` maps a 1-D array of abscissae to an array of real or complex
+    values (or a scalar broadcast to them); the integral is a ``float`` or a
+    ``complex`` to match.  Refinement stops once the summed error estimate is
     at most max(epsabs, epsrel * |integral|).  ConvergenceError if the
     integral is not finite, if the target is below the roundoff floor
     50 eps integral |f|, or if meeting it would take more than ``limit``
@@ -89,8 +91,8 @@ def gauss_kronrod(f, a, b, *, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     val, err, floor = _rule(f, lo, hi)
     while True:
-        total, total_err = float(val.sum()), float(err.sum())
-        if not (math.isfinite(total) and math.isfinite(total_err)):
+        total, total_err = val.sum().item(), float(err.sum())
+        if not (np.isfinite(total) and math.isfinite(total_err)):
             raise ConvergenceError(
                 f"gauss_kronrod: the integrand integrates to {total} over "
                 f"[{a:.6g}, {b:.6g}]")

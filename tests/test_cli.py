@@ -68,8 +68,8 @@ def test_threads_flag_removed(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # only the Green-function oracle needs scipy.integrate: start-up, the sum
-    # rule and the flux suite integrate with airybeam.quadrature
+    # every integral in the package (the sum rule, the flux suite and the
+    # Green-function oracle) uses airybeam.quadrature, never scipy.integrate
     env = dict(os.environ, PYTHONPATH=str(Path(airybeam.__file__).parents[1]))
     code = ("import sys, airybeam.cli; "
             "sys.exit(3 if 'scipy.integrate' in sys.modules else 0)")
@@ -80,7 +80,8 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     for argv in (["total-current", "--preset", "rb-atom-laser", "--n", "50", "-o", out],
                  ["transition", "--widths", "0.4um", "--n", "50", "-o", out],
                  ["validate", "--suite", "sum-rule"],
-                 ["validate", "--suite", "flux"]):
+                 ["validate", "--suite", "flux"],
+                 ["validate", "--suite", "oracle"]):
         run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, (argv, run.returncode, run.stderr)
@@ -250,6 +251,25 @@ def test_overlay_emits_data_and_model_files(tmp_path):
     assert_allclose(xs_d, [-1000.0, 500.0, 2000.0], rtol=0)   # sorted echo
     assert_allclose(xs_m, xs_d, rtol=0)
     assert np.all((ys_m > 0) & (ys_m <= 1))
+
+
+@pytest.mark.parametrize("command, name, shown", [
+    ("total-current", "données.csv", "donn\\xe9es.csv"),
+    ("atom-laser", "a\nb.csv", "a\\nb.csv"),
+], ids=["non-ascii", "newline"])
+def test_overlay_path_escaped_in_csv_header(tmp_path, command, name, shown):
+    # the overlay path enters every header; it stays one ASCII line
+    overlay = tmp_path / name
+    overlay.write_text("100,0.5\n200,0.4\n")
+    rc = main([command, "--n", "11", "--overlay", str(overlay),
+               "-o", str(tmp_path / "out.csv")])
+    assert rc == 0
+    for suffix in ("", "_overlay_data", "_overlay_model"):
+        lines = (tmp_path / f"out{suffix}.csv").read_bytes().decode("ascii").splitlines()
+        header = [line for line in lines if line.startswith("# ")]
+        assert f"# arg_overlay = {tmp_path}/{shown}" in header
+        for row in lines[len(header):]:
+            float(row.split(",")[0])
 
 
 def test_atom_laser_reports_both_peak_conventions(tmp_path, capsys):

@@ -92,6 +92,17 @@ def test_oracle_tail_search_is_bounded(monkeypatch, phase):
             _g_time_scaled(1.0, 0.5, 0.1)
 
 
+@pytest.mark.parametrize("rho, a", [(3.0, -8.0), (5.0, -5.5), (5.5, -4.7),
+                                    (1.0, 0.5), (6.0, 10.0), (0.5, -10.0)])
+def test_time_integral_equals_closed_form(unit_system, rho, a):
+    # undamped contour integral against the closed form in all three saddle
+    # regimes: a <= -rho (imaginary axis), |a| < rho, a >= rho (real axis);
+    # with beta = 1, a = zeta - eps is reached at E = a / 2 on the x axis
+    g, _ = _g_time_scaled(rho, a, 0.0)
+    closed = green_closed(unit_system, (rho, 0.0, 0.0), (0.0, 0.0, 0.0), a / 2.0).scaled
+    assert abs(g - closed) <= 1e-9 * abs(closed)
+
+
 def test_oracle_free_particle_limit(unit_system):
     # beta*F*|r - r'| <= 0.01 with E > 0: modulus -> (m/2 pi hbar^2)/|r-r'|,
     # which is 2/(pi rho) in scaled units

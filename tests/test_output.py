@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from airybeam.errors import DomainError
-from airybeam.output import RasterImage, ScanResult, write_json
+from airybeam.output import RasterImage, ScanResult, write_csv, write_json
 from airybeam.scenarios import detector_image, o_minus, rb_atom_laser
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -83,3 +83,12 @@ def test_scan_rejects_non_finite_values(bad):
 def test_scan_rejects_infinite_abscissa(abscissa):
     with pytest.raises(DomainError, match="finite"):
         ScanResult(np.array(abscissa), np.ones(3))
+
+
+def test_csv_header_escapes_only_outside_printable_ascii(tmp_path):
+    meta = {"plain": "C:\\runs\\x y~.csv", "odd": "é\t\x7f😀"}
+    write_csv(ScanResult(np.array([0.0, 1.0]), np.array([2.0, 3.0]), meta=meta),
+              tmp_path / "c.csv")
+    lines = (tmp_path / "c.csv").read_bytes().decode("ascii").splitlines()
+    assert "# plain = C:\\runs\\x y~.csv" in lines          # bytes kept
+    assert "# odd = \\xe9\\t\\x7f\\U0001f600" in lines

@@ -3,10 +3,12 @@
 Derandomized ``hypothesis`` properties over smooth, peaked, oscillatory and
 near-singular integrands with known integrals: the rule agrees with
 ``scipy.integrate.quad``, and its true error stays within its own estimate.
-Then the edge cases (reversed and zero-length limits, NaN, the subinterval
-cap) and the sum rule it now integrates.
+Complex integrands with closed forms keep their true error within the
+estimate too.  Then the edge cases (reversed and zero-length limits, NaN,
+the subinterval cap) and the sum rule it now integrates.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -61,6 +63,7 @@ def test_matches_scipy_and_error_within_estimate(kind, p, tols):
     val, err = gauss_kronrod(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
     ref, ref_err = scipy_quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
     floor = 8.0 * EPS * abs(exact)       # roundoff of the closed form itself
+    assert type(val) is float and type(err) is float
     assert abs(val - exact) <= err + floor
     assert err <= max(epsabs, epsrel * abs(val))
     assert abs(val - ref) <= err + ref_err + floor
@@ -72,6 +75,29 @@ def test_reversed_limits_negate(kind, p):
     f, a, b, _ = family(kind, p)
     val, err = gauss_kronrod(f, a, b, limit=400)
     assert gauss_kronrod(f, b, a, limit=400) == (-val, err)
+
+
+def complex_family(kind, p):
+    """(complex integrand on arrays, a, b, exact integral) of one test family."""
+    if kind == "wave":              # e^(i k x) on [0, b], up to ~50 periods
+        k, b = 1.0 + 100.0 * p, 3.0 - 2.0 * p
+        return (lambda x: np.exp(1j * k * x), 0.0, b,
+                (cmath.exp(1j * k * b) - 1.0) / (1j * k))
+    # a Gaussian centred at x0 times e^(i k x); the cut tails are below e^-49
+    k, x0 = 8.0 * p, 2.0 * p - 1.0
+    return (lambda x: np.exp(-(x - x0) ** 2 + 1j * k * x), -8.0, 8.0,
+            math.sqrt(math.pi) * cmath.exp(1j * k * x0 - k * k / 4.0))
+
+
+@PROPERTY
+@given(st.sampled_from(["wave", "gaussian-wave"]), PARAM, TOLS)
+def test_complex_integrand_error_within_estimate(kind, p, tols):
+    f, a, b, exact = complex_family(kind, p)
+    epsabs, epsrel = tols
+    val, err = gauss_kronrod(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
+    assert type(val) is complex and type(err) is float
+    assert abs(val - exact) <= err + 8.0 * EPS * abs(exact)
+    assert err <= max(epsabs, epsrel * abs(val))
 
 
 def test_zero_length_interval_skips_integrand():
