@@ -9,12 +9,11 @@ __version__ = "0.1.0"
 from .airy import ComplexAiryPair, airy_all, airy_modulus_asymptotic
 from .errors import (ConvergenceError, DomainError, RangeError,
                      UnsupportedModelError)
-from .green import GreenArgs, GreenValue, green_args, green_closed, green_oracle
+from .green import GreenValue, green_closed, green_oracle
 from .output import RasterImage, ScanResult, write_csv, write_pgm
 from .scaling import (ELECTRON_MASS, G_EARTH, HBAR, RB87_MASS, PhysicalSystem,
-                      ScaledEnergy, ScaledPoint, ScaledTime, energy_from_ev,
-                      energy_from_frequency, force_from_ev_per_m, make_system,
-                      scale_energy, scale_point, scale_time)
+                      ScaledPoint, energy_from_ev, energy_from_frequency,
+                      force_from_ev_per_m, make_system)
 from .scenarios import (AtomLaserPreset, DepletionCurve, PhotodetachmentPreset,
                         TransitionCurves, atom_laser_depletion,
                         beam_profile_family, current_transition_scan,

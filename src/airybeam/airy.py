@@ -3,15 +3,21 @@
 Every function takes a float or a NumPy array of any shape and returns the
 same shape; a float in gives NumPy float64 scalars out.  Three branches:
 
-* ``scipy.special.airy`` for x > -X_SWITCH, and ``scipy.special.airye`` for
-  the exponentially scaled values of ``airy_scaled``.  Both match the frozen
-  mpmath panel of ``tests/airy_reference.py`` to ~1e-13 relative.
+* ``scipy.special.airy`` for x > -X_SWITCH, and ``scipy.special.airye``
+  above _SCALED in ``airy_scaled``.  Both match the frozen mpmath panel of
+  ``tests/airy_reference.py`` to ~1e-13 relative.
 * oscillatory asymptotic expansions for x <= -X_SWITCH: scipy returns NaN
   below x ~ -2**20, and detector geometries reach x ~ -1e7.  Phase fidelity
   degrades slowly there as eps * |x|^(3/2).
 * the asymptotic difference series of the emission bracket
-  Ai'^2 - x Ai^2 for x > 8, where the two terms cancel to O(1/zeta) even
+  Ai'^2 - x Ai^2 above _SCALED, where the two terms cancel to O(1/zeta) even
   when the values are exponentially scaled.
+
+One constant, _SCALED = 8, decides where the deep tunneling region starts:
+above it ``airy_scaled`` carries Ai and Bi as a mantissa and an exponent
+s = 2/3 x^(3/2), and ``airy_bracket_log`` sums its series.  At and below it
+``airy_scaled`` returns the ``airy_all`` values with s = 0, so callers that
+combine exponents in log space need no threshold of their own.
 
 The asymptotic series are summed from a precomputed coefficient vector u_k:
 the powers zeta^-k of up to _BLOCK points at a time form one term matrix,
@@ -47,7 +53,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 X_MAX = 100.0          # beyond this exp(zeta) in Bi nears double overflow
 X_SWITCH = 9.0         # scipy / oscillatory-asymptotic handover at -X_SWITCH
-_BRACKET_SERIES = 8.0  # the emission bracket comes from its series above this
+_SCALED = 8.0          # exponent-scaled values and the bracket series above this
 
 
 def _series_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,31 +222,40 @@ def airy_all(x) -> ComplexAiryPair:
 
 
 def airy_scaled(x):
-    """Exponentially scaled values for x >= 0, valid to arbitrarily large x.
+    """Ai, Ai', Bi, Bi' as mantissas with one exponent, at any real x.
 
-    Returns (ai_s, aip_s, bi_s, bip_s, zeta) with Ai = ai_s*exp(-zeta) and
-    Bi = bi_s*exp(+zeta).  Unlike airy_all this never overflows, which the
-    total-current formulas rely on deep in the tunneling regime.
+    Returns (ai_s, aip_s, bi_s, bip_s, s) with Ai = ai_s*exp(-s),
+    Ai' = aip_s*exp(-s), Bi = bi_s*exp(+s) and Bi' = bip_s*exp(+s).  Above
+    _SCALED these are the ``airye`` values with s = 2/3 x^(3/2); at and below
+    it they are exactly the ``airy_all`` values with s = 0.  Never overflows,
+    which the current formulas rely on deep in the tunneling regime.
+    DomainError on NaN.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise DomainError(f"airy_scaled: need x >= 0, got {x.min()}")
-    zeta = (2.0 / 3.0) * x**1.5
-    return tuple(v[()] for v in (*special.airye(x), zeta))
+    x = _argument(x, "airy_scaled")
+    flat = x.ravel()
+    scaled = flat > _SCALED
+    out = [np.empty_like(flat) for _ in range(4)]
+    s = np.zeros_like(flat)
+    for part, values in ((~scaled, _values), (scaled, special.airye)):
+        if part.any():
+            for o, v in zip(out, values(flat[part])):
+                o[part] = v
+    s[scaled] = (2.0 / 3.0) * flat[scaled]**1.5
+    return tuple(_shaped(v, x.shape) for v in (*out, s))
 
 
 def airy_bracket_log(x):
     """log of Ai'(x)^2 - x*Ai(x)^2, the emission bracket of the total currents.
 
     The bracket equals the integral of Ai^2 from x to infinity, hence is
-    positive for every real x.  For x > 8 the two terms cancel to O(1/zeta);
+    positive for every real x.  Above _SCALED the two terms cancel to O(1/zeta);
     the difference is then formed inside the asymptotic series where it is
     exact, keeping ~12 significant digits even at x ~ 1e3.
     """
     x = _argument(x, "airy_bracket_log")
     flat = x.ravel()
     out = np.empty_like(flat)
-    series = flat > _BRACKET_SERIES
+    series = flat > _SCALED
     if not series.all():
         xd = flat[~series]
         ai, aip, _, _ = _values(xd)

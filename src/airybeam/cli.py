@@ -31,7 +31,7 @@ from .green import green_closed, green_oracle  # noqa: F401
 from .output import ScanResult, write_csv, write_json, write_pgm
 from .scaling import HBAR, energy_from_ev, energy_from_frequency
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
-                        current_transition_scan, default_half_width,
+                        current_transition_scan, detector_half_width,
                         detector_image, detector_plane, o_minus,
                         photodetachment_cross_section, rb_atom_laser, s_minus)
 from .sources import (current_density_gauss, current_density_point,
@@ -207,23 +207,27 @@ def _provenance(args) -> dict:
 
 
 def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column user CSV (abscissa,value), '#' comments ignored."""
+    """Two-column user CSV (abscissa,value) in UTF-8, '#' comments ignored."""
     rows = {}                                 # abscissa -> value
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x, y = map(float, line.split(",")[:2])
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: expected 'abscissa,value', "
-                                  f"got {line!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError(f"{path}:{lineno}: values must be finite, got {line!r}")
-            if x in rows:
-                raise DomainError(f"{path}:{lineno}: abscissa {x:g} repeats an earlier row")
-            rows[x] = y
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise DomainError(f"{path}:{lineno}: not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        try:
+            x, y = map(float, line.split(",")[:2])
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: expected 'abscissa,value', "
+                              f"got {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"{path}:{lineno}: values must be finite, got {line!r}")
+        if x in rows:
+            raise DomainError(f"{path}:{lineno}: abscissa {x:g} repeats an earlier row")
+        rows[x] = y
     if not rows:
         raise DomainError(f"{path}: no data rows, expected 'abscissa,value' lines")
     xs, ys = zip(*sorted(rows.items()))
@@ -284,12 +288,7 @@ def _cmd_density_profile(args, preset) -> int:
     sys_ = preset.system
     src = preset.source
     energy, z = detector_plane(preset)
-    half_width = args.half_width
-    if half_width is None:
-        half_width = default_half_width(sys_, energy, z)
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise DomainError(f"density-profile: half_width must be finite and > 0, "
-                          f"got {half_width}")
+    half_width = detector_half_width(sys_, energy, z, args.half_width)
     xs = _grid(-half_width, half_width, args.n)
     if isinstance(preset, AtomLaserPreset):
         j = current_density_gauss(sys_, src, (xs, 0.0, z), energy)
@@ -302,7 +301,7 @@ def _cmd_density_profile(args, preset) -> int:
         j = current_density_point(sys_, src, (xs, 0.0, z), energy)
         meta = dict(_provenance(args), preset=args.preset, energy_J=energy,
                     z_m=z, beta=sys_.beta,
-                    epsilon=-2.0 * sys_.beta * energy,
+                    epsilon=sys_.scale_energy(energy),
                     zeta=sys_.beta_f * z, half_width_m=half_width)
     result = ScanResult(xs, j, "x_m", "j_z", meta)
     _write(result, args)

@@ -30,24 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import airy
-# Array calls go through the ``airy`` module.  These names stay bound for
-# per-call instrumentation that wraps them and reads a scalar argument
-# (perfbench/tracing.py).
+# Unused here: the Airy layer is called as ``airy.airy_scaled``.  These names
+# stay bound because perfbench/tracing.py wraps them by name, and its
+# per-call counter needs a scalar argument.
 from .airy import airy_all, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError
 # bound as ``quad`` so that instrumentation can wrap it (perfbench/tracing.py)
 from .quadrature import gauss_kronrod as quad
 from .scaling import PhysicalSystem
 
-__all__ = ["GreenArgs", "GreenValue", "green_args", "green_closed", "green_oracle"]
-
-
-@dataclass(frozen=True)
-class GreenArgs:
-    """Dimensionless Airy arguments of the closed form; alpha_plus <= alpha_minus."""
-
-    alpha_plus: float
-    alpha_minus: float
+__all__ = ["GreenValue", "green_closed", "green_oracle"]
 
 
 @dataclass(frozen=True)
@@ -85,53 +77,27 @@ def _relative_args(sys: PhysicalSystem, r, r_src, energy):
     dz = (r[2] - r_src[2]) * bf
     rho_d = np.sqrt(dx * dx + dy * dy + dz * dz)
     zsum = (r[2] + r_src[2]) * bf
-    eps = -2.0 * sys.beta * np.asarray(energy, dtype=float)
-    return np.broadcast_arrays(rho_d, zsum, eps)
-
-
-def green_args(sys: PhysicalSystem, r, r_src, energy) -> GreenArgs:
-    """Airy arguments a+- = eps - (zeta + zeta') -+ rho_d of the closed form."""
-    rho_d, zsum, eps = _relative_args(sys, r, r_src, energy)
-    return GreenArgs(alpha_plus=(eps - zsum - rho_d)[()],
-                     alpha_minus=(eps - zsum + rho_d)[()])
+    return np.broadcast_arrays(rho_d, zsum, sys.scale_energy(energy))
 
 
 def _bracket_scaled(ap, am) -> tuple[np.ndarray, np.ndarray]:
     """Ci(ap) Ai'(am) - Ci'(ap) Ai(am) as (mantissa, log_scale) arrays.
 
-    ``ap <= am`` elementwise.  For large positive arguments the Airy factors
-    are kept exponentially scaled so the product with the caller's own
-    exponential weights can be combined in log space.
+    ``ap <= am`` elementwise, both of one shape.  The Airy factors come
+    exponentially scaled from ``airy.airy_scaled``, so the product with the
+    caller's own exponential weights can be combined in log space.  The
+    arithmetic runs on flat arrays, so a scalar gets the bits of an array
+    element.
     """
-    ap, am = np.broadcast_arrays(np.asarray(ap, dtype=float),
-                                 np.asarray(am, dtype=float))
-    if np.isnan(ap).any() or np.isnan(am).any():
-        raise DomainError("Green-function bracket: Airy argument is NaN")
-    mant = np.empty(ap.shape, dtype=complex)
-    log_scale = np.zeros(ap.shape)
-    low = am <= 8.0
-    if low.any():
-        p = airy.airy_all(ap[low])
-        m = airy.airy_all(am[low])
-        mant[low] = p.ci * m.ai_prime - p.ci_prime * m.ai
-    mid = ~low & (ap <= 8.0)
-    if mid.any():
-        ai_s, aip_s, _, _, zm = airy.airy_scaled(am[mid])
-        p = airy.airy_all(ap[mid])
-        mant[mid] = p.ci * aip_s - p.ci_prime * ai_s
-        log_scale[mid] = -zm
-    high = ap > 8.0
-    if high.any():
-        ai_s, aip_s, _, _, zm = airy.airy_scaled(am[high])
-        pa_s, pap_s, pb_s, pbp_s, zp = airy.airy_scaled(ap[high])
-        # Ci(ap) e^{-zeta_p} = bi_s + i ai_s e^{-2 zeta_p}
-        damp = np.exp(-2.0 * np.minimum(zp, 350.0))
-        damp[zp >= 350.0] = 0.0
-        ci_s = pb_s + 1j * (pa_s * damp)
-        cip_s = pbp_s + 1j * (pap_s * damp)
-        mant[high] = ci_s * aip_s - cip_s * ai_s
-        log_scale[high] = zp - zm
-    return mant, log_scale
+    shape = np.shape(ap)
+    pa_s, pap_s, pb_s, pbp_s, sp = airy.airy_scaled(np.ravel(ap))
+    ma_s, map_s, _, _, sm = airy.airy_scaled(np.ravel(am))
+    # Ci(ap) e^{-s_p} = bi_s + i ai_s e^{-2 s_p}
+    damp = np.where(sp < 350.0, np.exp(-2.0 * np.minimum(sp, 350.0)), 0.0)
+    ci_s = pb_s + 1j * (pa_s * damp)
+    cip_s = pbp_s + 1j * (pap_s * damp)
+    mant = ci_s * map_s - cip_s * ma_s
+    return mant.reshape(shape), (sp - sm).reshape(shape)
 
 
 def green_closed(sys: PhysicalSystem, r, r_src, energy) -> GreenValue:

@@ -22,8 +22,7 @@ from .errors import DomainError
 
 __all__ = [
     "HBAR", "ELECTRON_MASS", "RB87_MASS", "ELEMENTARY_CHARGE", "G_EARTH",
-    "PhysicalSystem", "ScaledPoint", "ScaledEnergy", "ScaledTime",
-    "make_system", "scale_point", "scale_energy", "scale_time",
+    "PhysicalSystem", "ScaledPoint", "make_system",
     "energy_from_ev", "energy_from_frequency", "force_from_ev_per_m",
 ]
 
@@ -56,12 +55,16 @@ class PhysicalSystem:
         """Inverse length scale beta*F (1/m)."""
         return self.beta * self.force
 
-    def scale_energy(self, energy: float) -> "ScaledEnergy":
-        return ScaledEnergy(-2.0 * self.beta * energy)
+    def scale_energy(self, energy):
+        """epsilon = -2*beta*E; negative for positive physical energy.
 
-    def unscale_energy(self, eps: "ScaledEnergy | float") -> float:
-        e = eps.epsilon if isinstance(eps, ScaledEnergy) else eps
-        return -e / (2.0 * self.beta)
+        ``energy`` may be an array; a float gives a NumPy float64.
+        """
+        return -2.0 * self.beta * np.asarray(energy, dtype=float)
+
+    def unscale_energy(self, eps):
+        """The physical energy E (J) of a scaled energy epsilon."""
+        return -eps / (2.0 * self.beta)
 
     def scale_point(self, r) -> "ScaledPoint":
         """Scaled coordinates of r = (x, y, z); components may be arrays."""
@@ -71,13 +74,6 @@ class PhysicalSystem:
     def unscale_point(self, p: "ScaledPoint") -> tuple[float, float, float]:
         bf = self.beta_f
         return (p.xi / bf, p.nu_y / bf, p.zeta / bf)
-
-    def scale_time(self, t: float) -> "ScaledTime":
-        return ScaledTime(t / (2.0 * self.hbar * self.beta))
-
-    def unscale_time(self, tau: "ScaledTime | float") -> float:
-        tv = tau.tau if isinstance(tau, ScaledTime) else tau
-        return tv * 2.0 * self.hbar * self.beta
 
 
 @dataclass(frozen=True)
@@ -96,38 +92,12 @@ class ScaledPoint:
         return np.sqrt(self.xi**2 + self.nu_y**2 + self.zeta**2)
 
 
-@dataclass(frozen=True)
-class ScaledEnergy:
-    """epsilon = -2*beta*E; negative for positive physical energy."""
-
-    epsilon: float
-
-
-@dataclass(frozen=True)
-class ScaledTime:
-    """tau = t / (2*hbar*beta); forward propagation means tau >= 0."""
-
-    tau: float
-
-
 def make_system(mass: float, force: float, hbar: float = HBAR) -> PhysicalSystem:
     """Build a PhysicalSystem, validating strict positivity of every input."""
     for name, val in (("mass", mass), ("force", force), ("hbar", hbar)):
         if not (val > 0.0 and math.isfinite(val)):
             raise DomainError(f"make_system: {name} must be positive and finite, got {val}")
     return PhysicalSystem(mass=float(mass), force=float(force), hbar=float(hbar))
-
-
-def scale_point(sys: PhysicalSystem, r) -> ScaledPoint:
-    return sys.scale_point(r)
-
-
-def scale_energy(sys: PhysicalSystem, energy: float) -> ScaledEnergy:
-    return sys.scale_energy(energy)
-
-
-def scale_time(sys: PhysicalSystem, t: float) -> ScaledTime:
-    return sys.scale_time(t)
 
 
 def energy_from_ev(value_ev: float) -> float:

@@ -35,7 +35,7 @@ __all__ = [
     "PhotodetachmentPreset", "AtomLaserPreset", "DepletionCurve",
     "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser",
     "photodetachment_cross_section", "detector_image", "detector_plane",
-    "radial_density", "default_half_width", "atom_laser_depletion",
+    "radial_density", "detector_half_width", "atom_laser_depletion",
     "beam_profile_family", "current_transition_scan",
 ]
 
@@ -191,9 +191,15 @@ def detector_plane(preset) -> tuple[float, float]:
     return preset.energy, preset.detector_z
 
 
-def default_half_width(sys: PhysicalSystem, energy: float, z: float) -> float:
-    """Half-width (m) just beyond the outermost classically allowed radius."""
-    return 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
+def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
+                        half_width: float | None = None) -> float:
+    """``half_width`` (m), by default just beyond the outermost classically
+    allowed radius; DomainError unless it is finite and > 0."""
+    if half_width is None:
+        half_width = 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise DomainError(f"half_width must be finite and > 0, got {half_width}")
+    return half_width
 
 
 def detector_image(
@@ -217,10 +223,7 @@ def detector_image(
     if z <= 0.0:
         raise DomainError("detector_image: detector plane must be downstream (z > 0)")
     sys, j_of_r = radial_density(preset, energy, z)
-    if half_width is None:
-        half_width = default_half_width(sys, energy, z)
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise DomainError(f"detector_image: half_width must be finite and > 0, got {half_width}")
+    half_width = detector_half_width(sys, energy, z, half_width)
     n_rad = max(4 * resolution, 1024)
     r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, n_rad)
     j_rad = np.clip(j_of_r(r_grid), 0.0, None)   # clip FP noise at ring nulls

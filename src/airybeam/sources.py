@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import airy
-# Array calls go through the ``airy`` module.  These names stay bound for
-# per-call instrumentation that wraps them and reads a scalar argument
-# (perfbench/tracing.py).
+# Unused here: the Airy layer is called through the ``airy`` module.  These
+# names stay bound because perfbench/tracing.py wraps them by name, and its
+# per-call counter needs a scalar argument.
 from .airy import airy_all, airy_bracket_log, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
 from .green import _bracket_scaled, _g_time_scaled, green_closed
@@ -103,8 +103,14 @@ class GaussianScaled:
     rho_tilde: float | np.ndarray | None = None
 
 
-def _scaled_energy(sys: PhysicalSystem, energy) -> np.ndarray:
-    return -2.0 * sys.beta * np.asarray(energy, dtype=float)
+def _times_exp(what: str, mant, exponent):
+    """mant * exp(exponent); RangeError if that leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = mant * np.exp(exponent)
+    if not np.all(np.isfinite(value)):
+        raise RangeError(f"{what}: exponent {np.max(exponent):.1f} overflows "
+                         "double range")
+    return value
 
 
 def _flat(*arrays) -> tuple[tuple, list[np.ndarray]]:
@@ -117,7 +123,7 @@ def gaussian_scaled(
     sys: PhysicalSystem, src: GaussianSource, energy, r=None
 ) -> GaussianScaled:
     alpha = sys.beta_f * src.width
-    eps_t = _scaled_energy(sys, energy) + 4.0 * alpha**4
+    eps_t = sys.scale_energy(energy) + 4.0 * alpha**4
     log_w = (
         math.log(sys.hbar * src.coupling)
         + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
@@ -167,11 +173,11 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
     """Dimensionless current-density shape as (mantissa, log_scale), flat arrays.
 
     (1/rho^3) * { zeta Ai'(am)^2 + [zeta(zeta - eps) + rho^2] Ai(am)^2 }
-    with am = eps - zeta + rho; Airy factors exponentially scaled once the
-    argument enters the deep tunneling region.  Downstream (zeta > 0) am is
-    formed as eps + (xi^2 + nu^2)/(rho + zeta): at a distant detector zeta
-    and rho agree to many digits, and their difference would lose them
-    exactly where Ai(am) has its ring nulls.
+    with am = eps - zeta + rho; the Airy factors come exponentially scaled
+    from ``airy.airy_scaled``.  Downstream (zeta > 0) am is formed as
+    eps + (xi^2 + nu^2)/(rho + zeta): at a distant detector zeta and rho
+    agree to many digits, and their difference would lose them exactly where
+    Ai(am) has its ring nulls.
     """
     lateral = xi * xi + nu * nu
     rho = np.sqrt(lateral + zeta * zeta)
@@ -181,26 +187,14 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
     down = zeta > 0.0
     am[down] = eps[down] + lateral[down] / (rho[down] + zeta[down])
     coef = zeta * (zeta - eps) + rho * rho
-    val = np.empty_like(am)
-    log_scale = np.zeros_like(am)
-    scaled = am > 8.0
-    plain = ~scaled                     # NaN arguments go here, and raise
-    if plain.any():
-        p = airy.airy_all(am[plain])
-        val[plain] = ((zeta[plain] * p.ai_prime**2 + coef[plain] * p.ai**2)
-                      / rho[plain]**3)
-    if scaled.any():
-        ai_s, aip_s, _, _, za = airy.airy_scaled(am[scaled])
-        val[scaled] = ((zeta[scaled] * aip_s**2 + coef[scaled] * ai_s**2)
-                       / rho[scaled]**3)
-        log_scale[scaled] = -2.0 * za
-    return val, log_scale
+    ai_s, aip_s, _, _, s = airy.airy_scaled(am)
+    return (zeta * aip_s**2 + coef * ai_s**2) / rho**3, -2.0 * s
 
 
 def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     """Current density j_z (1/(m^2 s) times |C|^2 units) of the delta source."""
     p = sys.scale_point(r)
-    shape, flat = _flat(p.xi, p.nu_y, p.zeta, _scaled_energy(sys, energy))
+    shape, flat = _flat(p.xi, p.nu_y, p.zeta, sys.scale_energy(energy))
     mant, log_scale = _jz_shape(*flat)
     pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
         2.0 * math.pi * sys.hbar**3
@@ -215,7 +209,7 @@ def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     entire in E and simply decays.
     """
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
-    return pref * np.exp(airy.airy_bracket_log(_scaled_energy(sys, energy)))
+    return pref * np.exp(airy.airy_bracket_log(sys.scale_energy(energy)))
 
 
 # ----------------------------------------------------------------------------
@@ -253,8 +247,8 @@ def psi_gauss_far(sys: PhysicalSystem, src: GaussianSource, r, energy):
     am = g.epsilon_tilde - g.zeta_tilde + g.rho_tilde
     mant, log_scale = _bracket_scaled(ap, am)
     log_si = math.log(sys.beta * sys.beta_f**3)
-    return ((2.0 / g.rho_tilde) * mant
-            * np.exp(g.log_weight + log_si + log_scale))[()]
+    return _times_exp("psi_gauss_far", (2.0 / g.rho_tilde) * mant,
+                      g.log_weight + log_si + log_scale)[()]
 
 
 def psi_gauss_near(sys: PhysicalSystem, src: GaussianSource, r, energy):
@@ -267,7 +261,7 @@ def psi_gauss_near(sys: PhysicalSystem, src: GaussianSource, r, energy):
         + np.log(math.sqrt(2.0) * g.alpha / g.rho_tilde**2)
         - g.rho_tilde**2 / (2.0 * g.alpha**2)
     )
-    return np.exp(log_mag)[()]
+    return _times_exp("psi_gauss_near", 1.0, log_mag)[()]
 
 
 def psi_gauss_quadrature(
@@ -319,13 +313,8 @@ def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
         2.0 * flat[4]
         + math.log(sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3))
     )
-    exponent = log_pref + log_scale
-    if np.any(exponent > 700.0):
-        raise RangeError(
-            f"current_density_gauss: exponent {exponent.max():.1f} overflows "
-            "double range"
-        )
-    return (mant * np.exp(exponent)).reshape(shape)[()]
+    return _times_exp("current_density_gauss", mant,
+                      log_pref + log_scale).reshape(shape)[()]
 
 
 def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
@@ -350,12 +339,7 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
         4.0 * g.alpha**2 * (g.epsilon_tilde - 4.0 * g.alpha**4 / 3.0)
         + airy.airy_bracket_log(g.epsilon_tilde)
     )
-    if np.any(exponent > 709.0):
-        raise RangeError(
-            f"total_current_gauss: exponent {np.max(exponent):.1f} "
-            "overflows double range"
-        )
-    return np.exp(exponent)[()]
+    return _times_exp("total_current_gauss", 1.0, exponent)[()]
 
 
 def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
@@ -366,7 +350,7 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     derivation assumptions fail.
     """
     alpha = sys.beta_f * src.width
-    eps = _scaled_energy(sys, energy)
+    eps = sys.scale_energy(energy)
     pref = 2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / alpha
     return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
 
@@ -391,16 +375,13 @@ def sum_rule_check(
     rhs = 2.0 * math.pi * sys.hbar * src.coupling**2
 
     def j_eps(eps):
-        return total_current_gauss(sys, src, -eps / (2.0 * sys.beta))
+        return total_current_gauss(sys, src, sys.unscale_energy(eps))
 
     def integral(lo, hi, epsabs):
         return quad(j_eps, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)[0]
 
     # E -> eps reverses orientation; J dE = (1/(2 beta)) J deps
-    e_lo = -2.0 * sys.beta * energy_range[1]
-    e_hi = -2.0 * sys.beta * energy_range[0]
-    if e_lo > e_hi:
-        e_lo, e_hi = e_hi, e_lo
+    e_lo, e_hi = sorted(sys.scale_energy(e) for e in energy_range)
     total = integral(e_lo, e_hi, 0.0)
     slab = max(e_hi - e_lo, 10.0)
     cut = tol * rhs * 2.0 * sys.beta / 20.0

@@ -98,7 +98,7 @@ def flux(preset, planes) -> list[Check]:
             g = gaussian_scaled(sys, src, energy, (0.0, 0.0, z))
             eps, zeta = g.epsilon_tilde, g.zeta_tilde
         else:
-            eps, zeta = -2.0 * sys.beta * energy, sys.beta_f * z
+            eps, zeta = sys.scale_energy(energy), sys.beta_f * z
         r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys.beta_f
         _, j_of_r = radial_density(preset, energy, z)
         total, _ = gauss_kronrod(lambda R: j_of_r(R) * 2.0 * math.pi * R,

@@ -115,8 +115,9 @@ def test_range_error_above_cap():
 
 
 def test_nan_rejected():
-    with pytest.raises(DomainError):
-        airy_all(math.nan)
+    for fn in (airy_all, airy_scaled):
+        with pytest.raises(DomainError):
+            fn(math.nan)
 
 
 def test_very_negative_arguments_allowed():
@@ -138,6 +139,28 @@ def test_scaled_values_match_unscaled():
 def test_scaled_no_overflow_deep():
     ai_s, aip_s, bi_s, bip_s, z = airy_scaled(1900.0)
     assert math.isfinite(ai_s) and math.isfinite(bi_s) and z > 5e4
+
+
+@pytest.mark.parametrize("x", [-3.0, -9.5, -1e7])
+def test_scaled_is_unscaled_below_handover(x):
+    # the transition and oscillatory branches, the last past scipy's NaN floor
+    *values, s = airy_scaled(x)
+    p = airy_all(x)
+    assert s == 0.0
+    assert values == [p.ai, p.ai_prime, p.bi, p.bi_prime]
+
+
+def test_scaled_seam_at_handover():
+    # last unscaled and first scaled argument: the same functions either side
+    below, above = np.nextafter(8.0, -np.inf), np.nextafter(8.0, np.inf)
+    assert airy_scaled(below)[4] == 0.0
+    assert airy_scaled(above)[4] == pytest.approx(2.0 / 3.0 * above**1.5, rel=1e-15)
+    for x in (below, above):
+        ai_s, aip_s, bi_s, bip_s, s = airy_scaled(x)
+        got = (ai_s * math.exp(-s), aip_s * math.exp(-s),
+               bi_s * math.exp(s), bip_s * math.exp(s))
+        for g, e in zip(got, scipy_airy(x)):
+            assert abs(g - e) <= 1e-10 * abs(e)
 
 
 def test_bracket_log_against_panel():

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -99,6 +99,10 @@ def test_gauss_current_density_array_equals_scalar_calls(cols):
 
 @PROPERTY
 @given(point_grids(z_lo=-12.0))
+# Airy arguments a+- on both sides of the scaled-value handover at 8:
+# a- alone above it, both above it, a+ past the 350 clamp, both below
+@example((np.array([0.3, 0.3, 0.3, 0.3, 1.0]), np.array([-0.2, -0.2, -0.2, -0.2, 2.0]),
+          np.array([-5.0, -5.0, -5.0, -5.0, 2.0]), np.array([0.5, -4.0, -6.0, -40.0, 2.0])))
 def test_green_closed_array_equals_scalar_calls(cols):
     x, y, z, e = cols
     src = (0.3, -0.2, 0.7)

@@ -441,11 +441,13 @@ def test_negative_image_half_width_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rows, line", [
-    ("1000", 2), ("1000,abc", 2), ("nan,3", 2), ("inf,3", 2), ("1,2\n1,3", 3),
-], ids=["one-column", "non-numeric", "nan", "inf", "repeated-abscissa"])
+    (b"1000", 2), (b"1000,abc", 2), (b"nan,3", 2), (b"inf,3", 2), (b"1,2\n1,3", 3),
+    (b"1,2\n3,4 # \xff", 3),
+], ids=["one-column", "non-numeric", "nan", "inf", "repeated-abscissa",
+        "not-utf8"])
 def test_malformed_overlay_row_exits_1(tmp_path, rows, line, capsys):
     overlay = tmp_path / "meas.csv"
-    overlay.write_text(f"# measured\n{rows}\n")
+    overlay.write_bytes(b"# measured\n" + rows + b"\n")
     rc = main(["atom-laser", "--n", "11", "--overlay", str(overlay),
                "-o", str(tmp_path / "dep.csv")])
     assert rc == 1

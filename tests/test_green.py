@@ -7,21 +7,9 @@ from numpy.testing import assert_allclose
 
 import airybeam.green
 from airybeam.errors import ConvergenceError, DomainError
-from airybeam.green import _g_time_scaled, green_args, green_closed, green_oracle
+from airybeam.green import _g_time_scaled, green_closed, green_oracle
 from airybeam.sources import PointSource, psi_point
 from airybeam.validation import oracle_agreement
-
-
-def test_args_ordering_and_coincidence(unit_system):
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        r = tuple(rng.normal(size=3))
-        rs = tuple(rng.normal(size=3))
-        e = rng.normal()
-        g = green_args(unit_system, r, rs, e)
-        assert g.alpha_plus <= g.alpha_minus
-    g = green_args(unit_system, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.5)
-    assert g.alpha_plus == g.alpha_minus
 
 
 def test_closed_rejects_coincident_points(unit_system):

@@ -8,8 +8,7 @@ from airybeam.errors import DomainError
 from airybeam.scaling import (ELECTRON_MASS, G_EARTH, HBAR, RB87_MASS,
                               energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
-                              make_system, scale_energy, scale_point,
-                              scale_time)
+                              make_system)
 
 # independently computed with mpmath at 50 digits from the same constants
 BETA_O_MINUS = 1.6458555645978968e23
@@ -50,7 +49,7 @@ def test_make_system_rejects_nonpositive(field):
 
 
 def test_scale_point_origin(unit_system):
-    p = scale_point(unit_system, (0.0, 0.0, 0.0))
+    p = unit_system.scale_point((0.0, 0.0, 0.0))
     assert (p.xi, p.nu_y, p.zeta, p.rho) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -58,14 +57,14 @@ def test_scale_point_linearity():
     # beta*F = 2: m = 32, F = 1, hbar = 1 -> beta = (32/4)^(1/3) = 2
     sys = make_system(32.0, 1.0, 1.0)
     assert sys.beta_f == pytest.approx(2.0, rel=1e-15)
-    p = scale_point(sys, (1.0, 2.0, 3.0))
+    p = sys.scale_point((1.0, 2.0, 3.0))
     assert_allclose((p.xi, p.nu_y, p.zeta), (2.0, 4.0, 6.0), rtol=1e-15)
     assert_allclose(p.rho, 2.0 * math.sqrt(14.0), rtol=1e-15)
 
 
 def test_scale_point_o_minus_detector():
     sys = make_system(ELECTRON_MASS, force_from_ev_per_m(423.0))
-    p = scale_point(sys, (0.0, 0.0, 0.514))
+    p = sys.scale_point((0.0, 0.0, 0.514))
     assert_allclose(p.zeta, ZETA_O_DETECTOR, rtol=1e-13)
 
 
@@ -74,22 +73,21 @@ def test_rho_invariant_random():
     sys = make_system(2.0, 0.7, 1.3)
     for _ in range(100):
         r = rng.normal(scale=3.0, size=3)
-        p = scale_point(sys, r)
+        p = sys.scale_point(r)
         assert_allclose(p.rho**2, p.xi**2 + p.nu_y**2 + p.zeta**2, rtol=1e-12)
 
 
 def test_scale_energy_examples(unit_system):
-    assert scale_energy(unit_system, 0.0).epsilon == 0.0
-    assert scale_energy(unit_system, 1.0).epsilon == pytest.approx(-2.0, rel=1e-15)
+    assert unit_system.scale_energy(0.0) == 0.0
+    assert unit_system.scale_energy(1.0) == pytest.approx(-2.0, rel=1e-15)
     sys = make_system(ELECTRON_MASS, force_from_ev_per_m(423.0))
-    assert_allclose(scale_energy(sys, energy_from_ev(100.5e-6)).epsilon,
-                    EPS_O, rtol=1e-13)
+    assert_allclose(sys.scale_energy(energy_from_ev(100.5e-6)), EPS_O, rtol=1e-13)
 
 
 def test_sign_convention_positive_energy():
     sys = make_system(1.0, 1.0, 1.0)
-    assert scale_energy(sys, 2.5).epsilon < 0.0
-    assert scale_energy(sys, -2.5).epsilon > 0.0
+    assert sys.scale_energy(2.5) < 0.0
+    assert sys.scale_energy(-2.5) > 0.0
 
 
 def test_round_trip_identity():
@@ -101,8 +99,6 @@ def test_round_trip_identity():
         assert_allclose(back, r, rtol=1e-12)
         e = rng.normal(scale=1e-25)
         assert_allclose(sys.unscale_energy(sys.scale_energy(e)), e, rtol=1e-12)
-        t = abs(rng.normal(scale=1e-3))
-        assert_allclose(sys.unscale_time(sys.scale_time(t)), t, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", [2.0, 10.0, 100.0])
@@ -116,12 +112,6 @@ def test_energy_unit_tags():
     assert_allclose(energy_from_ev(1.0), 1.602176634e-19, rtol=0)
     nu = 2.5e3
     assert_allclose(energy_from_frequency(nu), 2 * math.pi * HBAR * nu, rtol=0)
-
-
-def test_scaled_time_forward():
-    sys = make_system(1.0, 1.0, 1.0)
-    assert scale_time(sys, 1e-3).tau > 0.0
-    assert sys.unscale_time(scale_time(sys, 0.0)) == 0.0
 
 
 def test_system_is_frozen(unit_system):

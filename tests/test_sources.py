@@ -384,6 +384,14 @@ def test_total_current_gauss_overflow_guard(unit_system):
         total_current_gauss(unit_system, GaussianSource(0.5, 1e170), 0.0)
 
 
+def test_psi_gauss_near_overflow_guard(rb_system):
+    # a wide Rb source: its near-field weight leaves double range at 1 mm
+    src = GaussianSource(6e-6, 2 * math.pi * 100.0)
+    with pytest.raises(RangeError, match="psi_gauss_near: exponent"):
+        psi_gauss_near(rb_system, src, (0.0, 0.0, 1e-3),
+                       energy_from_frequency(2.5e3))
+
+
 # ---------------------------------------------------------------------------
 # slicing approximation and sum rule
 # ---------------------------------------------------------------------------
