@@ -192,8 +192,8 @@ def detector_plane(preset) -> tuple[float, float]:
 
 
 def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
-                        half_width: float | None = None) -> float:
-    """``half_width`` (m), by default just beyond the outermost classically
+                        half_width: float | None) -> float:
+    """``half_width`` (m), or for None just beyond the outermost classically
     allowed radius; DomainError unless it is finite and > 0."""
     if half_width is None:
         half_width = 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
