@@ -228,8 +228,9 @@ def airy_scaled(x):
     Ai' = aip_s*exp(-s), Bi = bi_s*exp(+s) and Bi' = bip_s*exp(+s).  Above
     _SCALED these are the ``airye`` values with s = 2/3 x^(3/2); at and below
     it they are exactly the ``airy_all`` values with s = 0.  Never overflows,
-    which the current formulas rely on deep in the tunneling regime.
-    DomainError on NaN.
+    which the current formulas rely on deep in the tunneling regime, up to
+    where ``airye`` stops giving finite values (x ~ 2^20 with scipy 1.17):
+    RangeError there, naming the largest x.  DomainError on NaN.
     """
     x = _argument(x, "airy_scaled")
     flat = x.ravel()
@@ -240,6 +241,9 @@ def airy_scaled(x):
         if part.any():
             for o, v in zip(out, values(flat[part])):
                 o[part] = v
+    if not all(np.isfinite(o[scaled]).all() for o in out):
+        raise RangeError(f"airy_scaled: airye returns non-finite values for x "
+                         f"up to {flat.max()}")
     s[scaled] = (2.0 / 3.0) * flat[scaled]**1.5
     return tuple(_shaped(v, x.shape) for v in (*out, s))
 

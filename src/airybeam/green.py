@@ -12,8 +12,7 @@ Two routes to the same object:
 
 * ``green_oracle`` -- the causal Laplace transform of the uniform-field
   propagator in scaled time, integrated with ``airybeam.quadrature`` along a
-  contour through the saddle of its phase, with an explicit +i*eta damping
-  and Richardson extrapolation eta -> 0.  Exists purely for validation
+  contour through the saddle of its phase.  Exists purely for validation
   (``airybeam.validation``).
 
 Everything internal is dimensionless: G = beta*(beta F)^3 * g(scaled args).
@@ -51,6 +50,8 @@ class GreenValue:
     (mass / (hbar^2 * length)), and ``value`` the SI number itself.  The
     split keeps deep-tunneling evaluations representable.  ``mantissa`` and
     ``log_scale`` are arrays when the evaluation points were.
+    ``error_estimate`` is set by ``green_oracle`` only: the quadrature's
+    absolute error estimate for ``scaled``, summed over the contour pieces.
     """
 
     mantissa: complex | np.ndarray
@@ -124,12 +125,12 @@ _QUAD_LIMIT = 400
 _TAIL_GROWTHS = 16          # tail cut-off search: y = 5 * 1.6^k, k < 16 (y < 6e3)
 
 
-def _phase(tau, rho: float, a: float, eta_s: float):
-    return 1j * (rho * rho / tau + a * tau - tau**3 / 12.0) - eta_s * tau
+def _phase(tau, rho: float, a: float):
+    return 1j * (rho * rho / tau + a * tau - tau**3 / 12.0)
 
 
-def _integrand(tau, rho: float, a: float, eta_s: float):
-    ph = _phase(tau, rho, a, eta_s)
+def _integrand(tau, rho: float, a: float):
+    ph = _phase(tau, rho, a)
     if np.any(ph.real > 700.0):
         raise ConvergenceError(
             "time-integral contour magnitude out of double range; the "
@@ -161,21 +162,25 @@ def _contour(rho: float, a: float) -> list[complex]:
     return [0.0, -1j * math.sqrt(-2.0 * a + 2.0 * math.sqrt(a * a - rho * rho))]
 
 
-def _g_time_scaled(rho: float, a: float, eta_s: float) -> tuple[complex, float]:
-    """Scaled Green function as the damped propagator transform.
+def _g_time_scaled(rho: float, a: float) -> tuple[complex, float]:
+    """Scaled Green function as the propagator transform; (value, error).
 
-    Integrates -2i (i pi tau)^(-3/2) exp(i rho^2/tau + i a tau - i tau^3/12
-    - eta_s tau) along the polygon of ``_contour``, then down a ray at
-    -pi/6 where the cubic phase term decays.  The integrand is analytic
-    between this contour and the positive real axis, and the closing arcs
-    vanish, so the deformation is exact.  Each straight piece is one
-    ``quad`` over its parameter in [0, 1].
+    Integrates -2i (i pi tau)^(-3/2) exp(i rho^2/tau + i a tau - i tau^3/12)
+    along the polygon of ``_contour``, then down a ray at -pi/6 where the
+    cubic phase term decays.  The integrand is analytic between this contour
+    and the positive real axis, and the closing arcs vanish, so the
+    deformation is exact.  No damping exp(-eta tau) enters: the retarded
+    prescription E + i0+ is carried by the contour leaving into the lower
+    half tau-plane, and the integrand decays on the tail ray with eta = 0,
+    so the eta -> 0 limit of the damped transform is this undamped integral
+    itself.  Each straight piece is one ``quad`` over its parameter in
+    [0, 1].
     """
     path = _contour(rho, a)
     e_tail = cmath.exp(-1j * _THETA_TAIL)
 
     def log_mag(y):
-        return _phase(path[-1] + y * e_tail, rho, a, eta_s).real
+        return _phase(path[-1] + y * e_tail, rho, a).real
 
     y_hi = 5.0
     base = max(log_mag(0.0), 0.0)
@@ -193,59 +198,29 @@ def _g_time_scaled(rho: float, a: float, eta_s: float) -> tuple[complex, float]:
     total, total_err = 0j, 0.0
     for z0, z1 in zip(path[:-1], path[1:]):
         dz = z1 - z0
-        val, err = quad(lambda s: _integrand(z0 + s * dz, rho, a, eta_s) * dz,
+        val, err = quad(lambda s: _integrand(z0 + s * dz, rho, a) * dz,
                         0.0, 1.0, limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-11)
         total += val
         total_err += err
     return total, total_err
 
 
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0, with a delta estimate."""
-    n = len(xs)
-    tab = list(ys)
-    last = tab[0]
-    for level in range(1, n):
-        for i in range(n - level):
-            tab[i] = tab[i + 1] + (tab[i] - tab[i + 1]) * (0.0 - xs[i + level]) / (
-                xs[i] - xs[i + level]
-            )
-        prev, last = last, tab[0]
-    return last, abs(last - prev)
+def green_oracle(sys: PhysicalSystem, r, r_src, energy: float) -> GreenValue:
+    """Retarded Green function via the propagator transform (validation path).
 
-
-def green_oracle(
-    sys: PhysicalSystem, r, r_src, energy: float, eta: float
-) -> GreenValue:
-    """Retarded Green function via the damped propagator transform.
-
-    ``eta`` (J, > 0) sets the starting damping; the retarded prescription is
-    E + i*eta with a decreasing sequence eta/2^k, k = 0..5, extrapolated
-    polynomially to eta = 0.  Validation path only; it is slower and less
-    accurate (~1e-8) than green_closed.
+    One ``_g_time_scaled`` contour integral; ConvergenceError when its error
+    estimate exceeds 1e-8 in scaled units.
     """
-    if eta <= 0.0:
-        raise DomainError(f"green_oracle: eta must be > 0, got {eta}")
     rho_d, zsum, eps = (float(v) for v in _relative_args(sys, r, r_src, energy))
     if rho_d == 0.0:
         raise DomainError("green_oracle: coincident points")
     a = -(eps - zsum)         # i a tau phase term, a = zeta_rel - eps_shifted
-    eta0 = 2.0 * sys.beta * eta
-    etas = [eta0 / 2.0**k for k in range(6)]
-    vals = []
-    qerr = 0.0
-    for es in etas:
-        v, e = _g_time_scaled(rho_d, a, es)
-        vals.append(v)
-        qerr = max(qerr, e)
-    g0, delta = _neville_at_zero(etas, vals)
-    est = qerr + delta
-    if qerr > 1e-8:
+    g, err = _g_time_scaled(rho_d, a)
+    if err > 1e-8:
         raise ConvergenceError(
-            f"green_oracle: quadrature error estimate {qerr:.3e} above the "
+            f"green_oracle: quadrature error estimate {err:.3e} above the "
             "1e-8 budget (scaled units)",
-            estimate=est,
+            estimate=err,
         )
     si = sys.beta * sys.beta_f**3
-    return GreenValue(mantissa=g0, log_scale=0.0, si_factor=si,
-                      error_estimate=est)
+    return GreenValue(mantissa=g, log_scale=0.0, si_factor=si, error_estimate=err)

@@ -202,14 +202,9 @@ def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
     return half_width
 
 
-def detector_image(
-    preset,
-    energy: float | None = None,
-    z: float | None = None,
-    half_width: float | None = None,
-    resolution: int = 512,
-) -> RasterImage:
-    """Square raster of j_z on the detector plane.
+def detector_image(preset, half_width: float | None = None,
+                   resolution: int = 512) -> RasterImage:
+    """Square raster of j_z on the preset's detector plane (``detector_plane``).
 
     Rotational symmetry about the field axis is exact, so the image is
     computed on a dense 1-D radial grid and revolved.  ``half_width``
@@ -217,11 +212,7 @@ def detector_image(
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
-    e0, z0 = detector_plane(preset)
-    energy = e0 if energy is None else energy
-    z = z0 if z is None else z
-    if z <= 0.0:
-        raise DomainError("detector_image: detector plane must be downstream (z > 0)")
+    energy, z = detector_plane(preset)
     sys, j_of_r = radial_density(preset, energy, z)
     half_width = detector_half_width(sys, energy, z, half_width)
     n_rad = max(4 * resolution, 1024)

@@ -290,7 +290,7 @@ def psi_gauss_quadrature(
 
     s_min = min(rho * rho / 45.0, 0.5 * s_hi)
     near, near_err = quad(f_near, s_min, s_hi, limit=200, epsabs=1e-13, epsrel=1e-11)
-    far, far_err = _g_time_scaled(rho, a, 0.0)
+    far, far_err = _g_time_scaled(rho, a)
     if near_err + far_err > 1e-8:
         raise ConvergenceError(
             f"psi_gauss_quadrature: error estimate {near_err + far_err:.3e} "

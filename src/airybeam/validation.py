@@ -79,7 +79,7 @@ def oracle_agreement(n: int, seed: int = 20240501) -> Check:
     worst = 0.0
     for r, energy in oracle_panel(sys, n, seed):
         gc = green_closed(sys, r, _ORIGIN, energy).scaled
-        go = green_oracle(sys, r, _ORIGIN, energy, eta=0.05).scaled
+        go = green_oracle(sys, r, _ORIGIN, energy).scaled
         worst = max(worst, abs(gc - go) / abs(gc))
     return Check("oracle agreement", worst, 1e-6, worst <= 1e-6, "worst rel {:.3e}")
 

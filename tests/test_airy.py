@@ -114,6 +114,14 @@ def test_range_error_above_cap():
     airy_all(X_MAX)               # the cap itself is fine
 
 
+@pytest.mark.parametrize("x", [2.0**20, np.array([1.0, 2.0**20, 20.0])],
+                         ids=["scalar", "array"])
+def test_scaled_rejects_non_finite_airye(x):
+    # scipy's airye returns NaN from about x = 2^20 up
+    with pytest.raises(RangeError, match=f"airy_scaled: .* up to {2.0**20}"):
+        airy_scaled(x)
+
+
 def test_nan_rejected():
     for fn in (airy_all, airy_scaled):
         with pytest.raises(DomainError):

@@ -440,6 +440,15 @@ def test_negative_image_half_width_exits_1(tmp_path, capsys):
         detector_image(o_minus(), half_width=math.nan, resolution=8)
 
 
+def test_airy_argument_beyond_airye_exits_1(tmp_path, capsys):
+    # a 50 um Rb source puts the Airy argument near 2e8 on the detector
+    rc = main(["detector-image", "--preset", "rb-atom-laser", "--width", "50um",
+               "--n", "8", "-o", str(tmp_path / "x.pgm")])
+    assert rc == 1
+    assert "airy_scaled" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
+
+
 @pytest.mark.parametrize("rows, line", [
     (b"1000", 2), (b"1000,abc", 2), (b"nan,3", 2), (b"inf,3", 2), (b"1,2\n1,3", 3),
     (b"1,2\n3,4 # \xff", 3),

@@ -9,7 +9,7 @@ import airybeam.green
 from airybeam.errors import ConvergenceError, DomainError
 from airybeam.green import _g_time_scaled, green_closed, green_oracle
 from airybeam.sources import PointSource, psi_point
-from airybeam.validation import oracle_agreement
+from airybeam.validation import oracle_agreement, oracle_panel
 
 
 def test_closed_rejects_coincident_points(unit_system):
@@ -43,7 +43,7 @@ def test_reciprocity(unit_system):
 
 def test_closed_vs_oracle_spot(unit_system):
     gc = green_closed(unit_system, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.0)
-    go = green_oracle(unit_system, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.0, eta=0.05)
+    go = green_oracle(unit_system, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.0)
     assert abs(gc.scaled - go.scaled) <= 1e-6 * abs(gc.scaled)
     assert go.error_estimate is not None
 
@@ -53,20 +53,16 @@ def test_closed_vs_oracle_shifted_source(unit_system):
     rs = (0.1, 0.2, -0.5)
     e = 0.8
     gc = green_closed(unit_system, r, rs, e)
-    go = green_oracle(unit_system, r, rs, e, eta=0.05)
+    go = green_oracle(unit_system, r, rs, e)
     assert abs(gc.scaled - go.scaled) <= 1e-6 * abs(gc.scaled)
 
 
-def test_oracle_requires_positive_eta(unit_system):
-    with pytest.raises(DomainError):
-        green_oracle(unit_system, (0, 0, 1.0), (0, 0, 0.0), 0.0, eta=0.0)
-
-
-def test_oracle_eta_halving_self_consistency(unit_system):
-    r = (0.5, 0.1, 1.2)
-    g1 = green_oracle(unit_system, r, (0, 0, 0), 0.6, eta=0.05)
-    g2 = green_oracle(unit_system, r, (0, 0, 0), 0.6, eta=0.025)
-    assert abs(g1.scaled - g2.scaled) <= g1.error_estimate + g2.error_estimate
+def test_oracle_error_estimate_bounds_the_gap(unit_system):
+    # the quadrature's error estimate covers the distance to the closed form
+    for r, e in oracle_panel(unit_system, 10, seed=7):
+        go = green_oracle(unit_system, r, (0.0, 0.0, 0.0), e)
+        gc = green_closed(unit_system, r, (0.0, 0.0, 0.0), e)
+        assert abs(go.scaled - gc.scaled) <= go.error_estimate
 
 
 @pytest.mark.parametrize("phase", [0j, complex(math.nan, math.nan)])
@@ -77,7 +73,7 @@ def test_oracle_tail_search_is_bounded(monkeypatch, phase):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError, match="not decayed"):
-            _g_time_scaled(1.0, 0.5, 0.1)
+            _g_time_scaled(1.0, 0.5)
 
 
 @pytest.mark.parametrize("rho, a", [(3.0, -8.0), (5.0, -5.5), (5.5, -4.7),
@@ -86,7 +82,7 @@ def test_time_integral_equals_closed_form(unit_system, rho, a):
     # undamped contour integral against the closed form in all three saddle
     # regimes: a <= -rho (imaginary axis), |a| < rho, a >= rho (real axis);
     # with beta = 1, a = zeta - eps is reached at E = a / 2 on the x axis
-    g, _ = _g_time_scaled(rho, a, 0.0)
+    g, _ = _g_time_scaled(rho, a)
     closed = green_closed(unit_system, (rho, 0.0, 0.0), (0.0, 0.0, 0.0), a / 2.0).scaled
     assert abs(g - closed) <= 1e-9 * abs(closed)
 
@@ -95,8 +91,7 @@ def test_oracle_free_particle_limit(unit_system):
     # beta*F*|r - r'| <= 0.01 with E > 0: modulus -> (m/2 pi hbar^2)/|r-r'|,
     # which is 2/(pi rho) in scaled units
     for rho in (0.01, 0.004):
-        go = green_oracle(unit_system, (0.0, 0.0, rho), (0.0, 0.0, 0.0),
-                          2.0, eta=0.05)
+        go = green_oracle(unit_system, (0.0, 0.0, rho), (0.0, 0.0, 0.0), 2.0)
         free = 2.0 / (math.pi * rho)
         assert abs(abs(go.scaled) - free) <= 0.01 * free
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_detector_image_rotational_symmetry():
 
 
 def test_detector_image_deep_tunneling_single_spot():
-    img = detector_image(o_minus(), energy=energy_from_ev(-120e-6),
+    img = detector_image(replace(o_minus(), energy=energy_from_ev(-120e-6)),
                          half_width=3e-4, resolution=128)
     row = img.pixels[64]
     assert count_local_maxima(row) <= 1

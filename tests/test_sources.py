@@ -275,7 +275,7 @@ def test_far_segment_equals_weighted_green(unit_system):
         v /= np.linalg.norm(v)
         r = tuple(rng.uniform(2.5, 6.0) * v)
         g = gaussian_scaled(unit_system, src, e, r)
-        far, _ = _g_time_scaled(g.rho_tilde, g.zeta_tilde - g.epsilon_tilde, 0.0)
+        far, _ = _g_time_scaled(g.rho_tilde, g.zeta_tilde - g.epsilon_tilde)
         far *= math.exp(g.log_weight) * unit_system.beta * unit_system.beta_f**3
         xi = math.sqrt(max(g.rho_tilde**2 - g.zeta_tilde**2, 0.0))
         closed = green_closed(unit_system, (xi, 0.0, g.zeta_tilde), (0, 0, 0),
@@ -382,6 +382,15 @@ def test_continuity_equation_with_source_term(unit_system):
 def test_total_current_gauss_overflow_guard(unit_system):
     with pytest.raises(RangeError, match="exponent"):
         total_current_gauss(unit_system, GaussianSource(0.5, 1e170), 0.0)
+
+
+def test_airy_argument_beyond_airye_raises(unit_system):
+    # a- = 1.2e6 on the axis below the source, where airye gives NaN
+    r = (0.0, 0.0, -6e5)
+    with pytest.raises(RangeError, match="airy_scaled"):
+        current_density_point(unit_system, PointSource(1.0), r, 0.0)
+    with pytest.raises(RangeError, match="airy_scaled"):
+        green_closed(unit_system, r, (0.0, 0.0, 0.0), 0.0)
 
 
 def test_psi_gauss_near_overflow_guard(rb_system):
