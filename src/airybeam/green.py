@@ -122,6 +122,7 @@ def green_closed(sys: PhysicalSystem, r, r_src, energy) -> GreenValue:
 _THETA_IN = math.pi / 6     # entry ray angle below the real axis
 _THETA_TAIL = math.pi / 6   # tail ray angle (cubic term decays fastest here)
 _QUAD_LIMIT = 400
+_SPIKE = 4.0                # first contour vertex at |tau| = _SPIKE * rho^2
 _TAIL_GROWTHS = 16          # tail cut-off search: y = 5 * 1.6^k, k < 16 (y < 6e3)
 
 
@@ -151,15 +152,25 @@ def _contour(rho: float, a: float) -> list[complex]:
     above the dip's ray (a > rho/2) is reached by way of the dip, since near
     the real axis exp(i rho^2/tau) oscillates undamped.  Nothing cancels
     along these paths.
+
+    Leaving the origin, |exp(i rho^2/tau)| rises from 0 within |tau| ~ rho^2
+    and the integrand then falls off as |tau|^(-3/2): a spike of width
+    ~ rho^2 that the adaptive rule cannot find on a piece many times longer
+    at small rho.  So the first piece gets a vertex at |tau| = _SPIKE rho^2.
     """
     tau_c = min(max(0.2 * rho, 0.05), 2.0)
     dip = [0.0, tau_c * cmath.exp(-1j * _THETA_IN)]
     if a >= rho:
-        return dip + [tau_c, max(2.0 * math.sqrt(a) + 6.0, 12.0)]
-    if a > -rho:
+        path = dip + [tau_c, max(2.0 * math.sqrt(a) + 6.0, 12.0)]
+    elif a <= -rho:
+        path = [0.0, -1j * math.sqrt(-2.0 * a + 2.0 * math.sqrt(a * a - rho * rho))]
+    else:
         saddle = cmath.sqrt(complex(2.0 * a, -2.0 * math.sqrt(rho * rho - a * a)))
-        return dip + [saddle] if cmath.phase(saddle) > -_THETA_IN else [0.0, saddle]
-    return [0.0, -1j * math.sqrt(-2.0 * a + 2.0 * math.sqrt(a * a - rho * rho))]
+        path = dip + [saddle] if cmath.phase(saddle) > -_THETA_IN else [0.0, saddle]
+    spike = _SPIKE * rho * rho
+    if spike < abs(path[1]):
+        path.insert(1, path[1] / abs(path[1]) * spike)
+    return path
 
 
 def _g_time_scaled(rho: float, a: float) -> tuple[complex, float]:

@@ -1,19 +1,44 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scipy.special import airy as scipy_airy
 
-from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series_log, airy_all,
-                           airy_bracket_log, airy_modulus_asymptotic, airy_scaled)
+from airybeam import airy
+from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series_log, _positive, _taylor,
+                           airy_all, airy_bracket_log, airy_modulus_asymptotic,
+                           airy_scaled)
 from airybeam.errors import DomainError, RangeError
 
 from airy_reference import PANEL
 from oracles import mp_airy_maclaurin
 
 INV_PI = 1.0 / math.pi
+GENERATOR = Path(__file__).parents[1] / "tools" / "airy_anchors.py"
+
+
+def envelope_error(got, want):
+    """Largest |got - want| of Ai, Ai', Bi, Bi' relative to the local size
+    sqrt(Ai^2 + Bi^2), or sqrt(Ai'^2 + Bi'^2) for the derivatives."""
+    ai, aip, bi, bip = want
+    size, size_prime = math.hypot(ai, bi), math.hypot(aip, bip)
+    sizes = (size, size_prime, size, size_prime)
+    return max(abs(g - w) / s for g, w, s in zip(got, want, sizes))
+
+
+def relative_error(got, want):
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
+
+
+def values(x):
+    p = airy_all(x)
+    return p.ai, p.ai_prime, p.bi, p.bi_prime
 
 
 def test_values_at_zero():
@@ -117,7 +142,7 @@ def test_range_error_above_cap():
 @pytest.mark.parametrize("x", [2.0**20, np.array([1.0, 2.0**20, 20.0])],
                          ids=["scalar", "array"])
 def test_scaled_rejects_non_finite_airye(x):
-    # scipy's airye returns NaN from about x = 2^20 up
+    # X_SCALED_MAX = 2^20: exponents there have an ulp near 1e-7
     with pytest.raises(RangeError, match=f"airy_scaled: .* up to {2.0**20}"):
         airy_scaled(x)
 
@@ -151,7 +176,7 @@ def test_scaled_no_overflow_deep():
 
 @pytest.mark.parametrize("x", [-3.0, -9.5, -1e7])
 def test_scaled_is_unscaled_below_handover(x):
-    # the transition and oscillatory branches, the last past scipy's NaN floor
+    # the Taylor and oscillatory branches, the last at detector geometry
     *values, s = airy_scaled(x)
     p = airy_all(x)
     assert s == 0.0
@@ -196,3 +221,57 @@ def test_bracket_positive_everywhere():
     # equals the integral of Ai^2 over (x, inf): positive for all real x
     for x in np.linspace(-60.0, 60.0, 121):
         assert math.isfinite(airy_bracket_log(float(x)))
+
+
+def test_anchor_table_is_the_generator_output():
+    # reruns tools/airy_anchors.py (mpmath) and compares every double
+    generator = runpy.run_path(str(GENERATOR))
+    assert (airy._ANCHOR_LO, airy._ANCHOR_STEP) == (generator["LO"], generator["STEP"])
+    assert np.array_equal(airy._ANCHORS, np.array(generator["anchor_rows"]()))
+
+
+def test_taylor_anchor_midpoints():
+    # the last point nearer to each anchor and the first nearer to the next:
+    # the largest Taylor steps, from two different anchors
+    for mid in airy._ANCHOR_X[:-1] + 0.5 * airy._ANCHOR_STEP:
+        pair = np.array([np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
+        for x, got in zip(pair, np.array(_taylor(pair)).T):
+            want = mp_airy_maclaurin(x)
+            assert envelope_error(got, want) <= 2e-15, x
+            if x > 0.0:
+                assert relative_error(got, want) <= 2e-15, x
+
+
+def test_taylor_meets_oscillatory_at_handover():
+    # on a window of width 1 around -X_SWITCH the Taylor branch and the
+    # oscillatory asymptotics agree; airy_all either side of it matches mpmath
+    for x in np.linspace(-X_SWITCH - 0.5, -X_SWITCH + 0.5, 21):
+        got = [v[0] for v in _taylor(np.array([x]))]
+        assert envelope_error(got, airy_modulus_asymptotic(x)) <= 1e-14, x
+    for x in (-X_SWITCH, np.nextafter(-X_SWITCH, 0.0)):
+        assert envelope_error(values(x), mp_airy_maclaurin(x)) <= 1e-14, x
+
+
+def test_taylor_meets_asymptotic_series_at_handover():
+    # airy_all's last Taylor point (8.5) and first asymptotic-series point,
+    # and the two branches from x = 8 to the last anchor's reach
+    top = airy._ANCHOR_X[-1]
+    for x in (top, np.nextafter(top, np.inf)):
+        assert relative_error(values(x), mp_airy_maclaurin(x)) <= 1e-14, x
+    for x in np.linspace(top - 0.5, top + 0.125, 21):
+        xs = np.array([x])
+        got, want = ([v[0] for v in branch(xs)] for branch in (_positive, _taylor))
+        assert relative_error(got, want) <= 1e-14, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-9.5, 8.5))
+def test_table_range_against_references(x):
+    # scipy.special.airy is the reference for the local size; for x > 0,
+    # where Ai is far below that size, mpmath is the reference for the
+    # relative error, since scipy's own relative error in Ai reaches
+    # 1.7e-14 (near x = 2.04, checked against mpmath)
+    got = values(x)
+    assert envelope_error(got, scipy_airy(x)) <= 1e-14
+    if x > 0.0:
+        assert relative_error(got, mp_airy_maclaurin(x)) <= 1e-14

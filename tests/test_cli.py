@@ -87,6 +87,28 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
         assert run.returncode == 0, (argv, run.returncode, run.stderr)
 
 
+def test_no_scipy_module_loads(tmp_path):
+    # scipy is a test dependency only: the import, --version and every
+    # computing path leave no scipy module in sys.modules
+    env = dict(os.environ, PYTHONPATH=str(Path(airybeam.__file__).parents[1]))
+    code = ("import sys\n"
+            "from airybeam.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(*loaded, file=sys.stderr)\n"
+            "sys.exit(3 if loaded else rc)\n")
+    out = str(tmp_path / "x.pgm")
+    for argv in ([], ["--version"], ["validate", "--suite", "all"],
+                 *(["detector-image", "--preset", p, "--n", "8", "-o", out]
+                   for p in ("s-minus", "o-minus", "rb-atom-laser"))):
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, (argv, run.returncode, run.stderr)
+
+
 def test_detector_image_pgm(tmp_path):
     out = tmp_path / "rings.pgm"
     rc = main(["detector-image", "--preset", "o-minus", "--n", "64",

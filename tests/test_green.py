@@ -87,6 +87,18 @@ def test_time_integral_equals_closed_form(unit_system, rho, a):
     assert abs(g - closed) <= 1e-9 * abs(closed)
 
 
+def test_oracle_small_separations(unit_system):
+    # rho in [0.003, 0.0064] and a in [-30, 30]: the integrand rises from 0
+    # within |tau| ~ rho^2 of the contour's start, a spike the adaptive rule
+    # must be pointed at
+    rng = np.random.default_rng(5)
+    for rho, a in zip(rng.uniform(0.003, 0.0064, 300), rng.uniform(-30.0, 30.0, 300)):
+        r = (rho, 0.0, 0.0)
+        go = green_oracle(unit_system, r, (0.0, 0.0, 0.0), a / 2.0).scaled
+        gc = green_closed(unit_system, r, (0.0, 0.0, 0.0), a / 2.0).scaled
+        assert abs(go - gc) <= 1e-6 * max(abs(gc), 1e-3), (rho, a)
+
+
 def test_oracle_free_particle_limit(unit_system):
     # beta*F*|r - r'| <= 0.01 with E > 0: modulus -> (m/2 pi hbar^2)/|r-r'|,
     # which is 2/(pi rho) in scaled units

@@ -385,7 +385,7 @@ def test_total_current_gauss_overflow_guard(unit_system):
 
 
 def test_airy_argument_beyond_airye_raises(unit_system):
-    # a- = 1.2e6 on the axis below the source, where airye gives NaN
+    # a- = 1.2e6 on the axis below the source, beyond airy.X_SCALED_MAX = 2^20
     r = (0.0, 0.0, -6e5)
     with pytest.raises(RangeError, match="airy_scaled"):
         current_density_point(unit_system, PointSource(1.0), r, 0.0)
