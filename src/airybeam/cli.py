@@ -25,18 +25,19 @@ import numpy as np
 
 from . import __version__, validation
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
-# ``validation`` calls these.  They stay bound here for instrumentation
-# that wraps them by name (perfbench/tracing.py).
-from .green import green_closed, green_oracle  # noqa: F401
 from .output import ScanResult, write_csv, write_json, write_pgm
 from .scaling import HBAR, energy_from_ev, energy_from_frequency
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
-                        current_transition_scan, detector_half_width,
-                        detector_image, detector_plane, o_minus,
-                        photodetachment_cross_section, rb_atom_laser, s_minus)
-from .sources import (current_density_gauss, current_density_point,
-                      gaussian_scaled, sum_rule_check, total_current_gauss,
-                      total_current_point)
+                        current_transition_scan, detector_image, grid,
+                        lateral_profile, o_minus, rb_atom_laser, s_minus,
+                        total_current_scan)
+from .sources import sum_rule_check
+# Unused here: these names stay bound for instrumentation that wraps them by
+# name (perfbench/tracing.py).
+from .green import green_closed, green_oracle  # noqa: F401
+from .scenarios import photodetachment_cross_section  # noqa: F401
+from .sources import (current_density_gauss, current_density_point,  # noqa: F401
+                      gaussian_scaled, total_current_gauss, total_current_point)
 
 _UNIT_RE = re.compile(r"^\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*([^\s0-9][^\s]*)\s*$")
 
@@ -133,37 +134,35 @@ _PRESETS = {
     "rb-atom-laser": rb_atom_laser,
 }
 
-# Every flag that tunes a preset: its unit type, the PhotodetachmentPreset
-# field and the AtomLaserPreset field it sets (None: no such field, so the
-# flag exits 2 with that preset), and its help text.
+# Every flag that tunes a preset: its unit type, the preset field it sets
+# (a preset without that field exits 2), and its help text.
 _PRESET_FLAGS = {
-    "field": (_field, "field_ev_per_m", None, "e.g. 423eV/m"),
-    "energy": (_energy, "energy", None, "e.g. 100.5ueV"),
-    "strength2": (_finite_float, "strength2", None, "|C|^2 scale"),
-    "z": (_length, "detector_z", "profile_z", "e.g. 0.514m or 1mm"),
-    "emin": (_energy, "scan_min", None, "e.g. -50ueV"),
-    "emax": (_energy, "scan_max", None, "e.g. 300ueV"),
-    "width": (_length, None, "width", "e.g. 2.8um"),
-    "omega": (_frequency, None, "coupling", "coupling Omega/(2 pi), e.g. 105.585Hz"),
-    "time": (_time, None, "operation_time", "e.g. 20ms"),
-    "n0": (_finite_float, None, "atom_count", "initial atom count"),
-    "nu": (_frequency, None, "profile_nu", "e.g. 2.5kHz"),
-    "numin": (_frequency, None, "detuning_min", "e.g. -15kHz"),
-    "numax": (_frequency, None, "detuning_max", "e.g. 15kHz"),
+    "field": (_field, "field_ev_per_m", "e.g. 423eV/m"),
+    "energy": (_energy, "energy", "e.g. 100.5ueV"),
+    "strength2": (_finite_float, "strength2", "|C|^2 scale"),
+    "z": (_length, "detector_z", "e.g. 0.514m or 1mm"),
+    "emin": (_energy, "scan_min", "e.g. -50ueV"),
+    "emax": (_energy, "scan_max", "e.g. 300ueV"),
+    "width": (_length, "width", "e.g. 2.8um"),
+    "omega": (_frequency, "coupling", "coupling Omega/(2 pi), e.g. 105.585Hz"),
+    "time": (_time, "operation_time", "e.g. 20ms"),
+    "n0": (_finite_float, "atom_count", "initial atom count"),
+    "nu": (_frequency, "profile_nu", "e.g. 2.5kHz"),
+    "numin": (_frequency, "detuning_min", "e.g. -15kHz"),
+    "numax": (_frequency, "detuning_max", "e.g. 15kHz"),
 }
 
 
 def _preset(args, parser):
     """The chosen preset with every preset flag given applied to it."""
     preset = _PRESETS[args.preset]()
-    gauss = isinstance(preset, AtomLaserPreset)
+    fields = {f.name for f in dataclasses.fields(preset)}
     changes = {}
-    for flag, (_, point_field, gauss_field, _) in _PRESET_FLAGS.items():
+    for flag, (_, name, _) in _PRESET_FLAGS.items():
         value = getattr(args, flag, None)
         if value is None:
             continue
-        name = gauss_field if gauss else point_field
-        if name is None:
+        if name not in fields:
             parser.error(f"--{flag} does not apply to preset {args.preset}")
         # --omega is Omega/(2 pi) in Hz; the preset holds Omega in rad/s
         changes[name] = 2.0 * math.pi * value if flag == "omega" else value
@@ -179,14 +178,6 @@ def _out_path(args, suffix: str = "") -> str:
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
     return path
-
-
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if n < 2:
-        raise DomainError(f"grid needs at least 2 points, got {n}")
-    if not lo < hi:
-        raise DomainError(f"grid minimum {lo} must be below maximum {hi}")
-    return np.linspace(lo, hi, n)
 
 
 def _provenance(args) -> dict:
@@ -256,27 +247,17 @@ def _write_overlay_pair(args, model_fn) -> None:
 # ----------------------------------------------------------------------------
 
 def _cmd_total_current(args, preset) -> int:
+    result = total_current_scan(preset, grid(*preset.scan_window, args.n))
+    meta = _provenance(args)
     summary = ""
     if isinstance(preset, AtomLaserPreset):
-        nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
-        sys_ = preset.system
-        src = preset.source
-        model = lambda nu: total_current_gauss(sys_, src, energy_from_frequency(nu))
-        meta = dict(_provenance(args), preset=args.preset, width_m=preset.width,
-                    coupling_rad_per_s=preset.coupling, beta=sys_.beta,
-                    alpha=sys_.beta_f * preset.width)
-        result = ScanResult(nus, model(nus), "nu_Hz", "current_per_s", meta)
-        lhs, rhs = sum_rule_check(
-            sys_, src, (energy_from_frequency(nus[-1]),
-                        energy_from_frequency(nus[0])))
+        lhs, rhs = sum_rule_check(preset.system, preset.source,
+                                  tuple(map(energy_from_frequency, preset.scan_window)))
         summary = f", sum-rule ratio {lhs / rhs:.6f}"
-    else:
-        energies = _grid(preset.scan_min, preset.scan_max, args.n)
-        model = lambda e: total_current_point(preset.system, preset.source, e)
-        result = photodetachment_cross_section(preset, energies)
-        result = dataclasses.replace(result, meta=dict(result.meta, **_provenance(args)))
+        meta["preset"] = args.preset
+    result = dataclasses.replace(result, meta=dict(result.meta, **meta))
     _write(result, args)
-    _write_overlay_pair(args, model)
+    _write_overlay_pair(args, lambda xs: total_current_scan(preset, xs).values)
     ipk = int(np.argmax(result.values))
     print(f"total-current: {len(result.values)} points, peak value "
           f"{result.values[ipk]:.6g} at {result.abscissa[ipk]:.6g} "
@@ -285,25 +266,9 @@ def _cmd_total_current(args, preset) -> int:
 
 
 def _cmd_density_profile(args, preset) -> int:
-    sys_ = preset.system
-    src = preset.source
-    energy, z = detector_plane(preset)
-    half_width = detector_half_width(sys_, energy, z, args.half_width)
-    xs = _grid(-half_width, half_width, args.n)
-    if isinstance(preset, AtomLaserPreset):
-        j = current_density_gauss(sys_, src, (xs, 0.0, z), energy)
-        g = gaussian_scaled(sys_, src, energy)
-        meta = dict(_provenance(args), preset=args.preset, width_m=preset.width,
-                    z_m=z, nu_Hz=preset.profile_nu, beta=sys_.beta,
-                    alpha=g.alpha, epsilon_tilde=g.epsilon_tilde,
-                    half_width_m=half_width)
-    else:
-        j = current_density_point(sys_, src, (xs, 0.0, z), energy)
-        meta = dict(_provenance(args), preset=args.preset, energy_J=energy,
-                    z_m=z, beta=sys_.beta,
-                    epsilon=sys_.scale_energy(energy),
-                    zeta=sys_.beta_f * z, half_width_m=half_width)
-    result = ScanResult(xs, j, "x_m", "j_z", meta)
+    result = lateral_profile(preset, args.half_width, args.n)
+    meta = dict(result.meta, **_provenance(args), preset=args.preset)
+    result = dataclasses.replace(result, meta=meta)
     _write(result, args)
     print(f"density-profile: peak j_z = {result.values.max():.6g} -> {_out_path(args)}")
     return 0
@@ -318,25 +283,20 @@ def _cmd_detector_image(args, preset) -> int:
 
 
 def _cmd_atom_laser(args, preset) -> int:
-    nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
+    sign = -1.0 if args.flip_detuning else 1.0
+    nus = grid(*preset.scan_window, args.n)
     curve = atom_laser_depletion(preset, nus)
-    detunings = -curve.detunings[::-1] if args.flip_detuning else curve.detunings
-    fractions = curve.fractions[::-1] if args.flip_detuning else curve.fractions
-    counts = fractions * preset.atom_count
+    detunings, counts = nus, curve.fractions * preset.atom_count
+    if args.flip_detuning:
+        detunings, counts = -detunings[::-1], counts[::-1]
     meta = dict(curve.meta, **_provenance(args), preset=args.preset,
                 beta=preset.system.beta,
                 alpha=preset.system.beta_f * preset.width)
     result = ScanResult(detunings, counts, "nu_Hz", "atoms_remaining", meta)
     _write(result, args)
-    sys_ = preset.system
-    src = preset.source
-    sign = -1.0 if args.flip_detuning else 1.0
-
-    def fraction_model(nu):
-        j = total_current_gauss(sys_, src, energy_from_frequency(sign * nu))
-        return np.exp(-j * preset.operation_time) * preset.atom_count
-
-    _write_overlay_pair(args, fraction_model)
+    # the model at a shown detuning nu is the curve at sign * nu
+    _write_overlay_pair(args, lambda nu: atom_laser_depletion(
+        preset, sign * nu).fractions * preset.atom_count)
     # the detuning origin convention differs between setups: report where
     # the exact current peaks and where the slicing resonance (eps = 0) sits
     nu_peak = nus[int(np.argmax(curve.currents))]
@@ -349,7 +309,7 @@ def _cmd_atom_laser(args, preset) -> int:
 
 
 def _cmd_transition(args, preset) -> int:
-    nus = _grid(preset.detuning_min, preset.detuning_max, args.n)
+    nus = grid(*preset.scan_window, args.n)
     curves = current_transition_scan(preset, args.widths, nus)
     for c in curves:
         tag = _width_tag(c.width)
@@ -398,7 +358,7 @@ def _add_common(p, preset: str, flags: str, presets=tuple(sorted(_PRESETS)),
                         "like flags; flags given on the command line win")
     p.add_argument("--preset", choices=presets, default=preset)
     for flag in flags.split():
-        kind, _, _, help_ = _PRESET_FLAGS[flag]
+        kind, _, help_ = _PRESET_FLAGS[flag]
         p.add_argument(f"--{flag}", type=kind, default=None, help=help_)
 
 

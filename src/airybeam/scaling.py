@@ -105,9 +105,9 @@ def energy_from_ev(value_ev: float) -> float:
     return value_ev * ELEMENTARY_CHARGE
 
 
-def energy_from_frequency(nu_hz: float, hbar: float = HBAR) -> float:
+def energy_from_frequency(nu_hz: float) -> float:
     """Energy E = 2*pi*hbar*nu of a particle released at detuning nu."""
-    return 2.0 * math.pi * hbar * nu_hz
+    return 2.0 * math.pi * HBAR * nu_hz
 
 
 def force_from_ev_per_m(field_ev_per_m: float) -> float:

@@ -12,7 +12,10 @@
 Absolute point-source currents carry the arbitrary |C|^2 normalization;
 these presets default it to 1 and expose it as a plain scale factor.
 
-Every observable hands its whole grid to the source layer in one call.
+Each preset answers ``plane`` (energy J and plane z m of images and
+profiles), ``current_density(r, E)``, ``total_current(E)`` and its
+``scan_window``, so each observable below is one function for both kinds
+of preset; each hands its whole grid to the source layer in one call.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from .scaling import (ELECTRON_MASS, G_EARTH, RB87_MASS, PhysicalSystem,
                       energy_from_ev, energy_from_frequency, force_from_ev_per_m,
                       make_system)
 from .sources import (GaussianSource, PointSource, current_density_gauss,
-                      current_density_point, sum_rule_check, total_current_gauss,
-                      total_current_point, total_current_slicing)
+                      current_density_point, gaussian_scaled, sum_rule_check,
+                      total_current_gauss, total_current_point,
+                      total_current_slicing)
 
 __all__ = [
     "PhotodetachmentPreset", "AtomLaserPreset", "DepletionCurve",
-    "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser",
-    "photodetachment_cross_section", "detector_image", "detector_plane",
-    "radial_density", "detector_half_width", "atom_laser_depletion",
+    "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser", "grid",
+    "photodetachment_cross_section", "total_current_scan", "detector_image",
+    "detector_half_width", "lateral_profile", "atom_laser_depletion",
     "beam_profile_family", "current_transition_scan",
 ]
 
@@ -60,6 +64,8 @@ class PhotodetachmentPreset:
             raise DomainError("PhotodetachmentPreset: detector distance must be > 0")
         if not (math.isfinite(self.strength2) and self.strength2 > 0.0):
             raise DomainError("PhotodetachmentPreset: strength2 must be finite and > 0")
+        if not self.scan_min < self.scan_max:
+            raise DomainError("PhotodetachmentPreset: scan_min must be below scan_max")
 
     @property
     def system(self) -> PhysicalSystem:
@@ -68,6 +74,20 @@ class PhotodetachmentPreset:
     @property
     def source(self) -> PointSource:
         return PointSource(math.sqrt(self.strength2))
+
+    @property
+    def scan_window(self) -> tuple[float, float]:
+        return self.scan_min, self.scan_max
+
+    @property
+    def plane(self) -> tuple[float, float]:
+        return self.energy, self.detector_z
+
+    def current_density(self, r, energy):
+        return current_density_point(self.system, self.source, r, energy)
+
+    def total_current(self, energy):
+        return total_current_point(self.system, self.source, energy)
 
 
 @dataclass(frozen=True)
@@ -79,19 +99,21 @@ class AtomLaserPreset:
     operation_time: float          # T (s)
     detuning_min: float            # Hz
     detuning_max: float            # Hz
-    profile_z: float = 1.0e-3      # m below the source
+    detector_z: float = 1.0e-3     # m below the source, beam-profile plane
     profile_nu: float = 2.5e3      # Hz, beam-profile detuning
     atom_count: float = 1.0        # N(0); fractions reported by default
     mass: float = RB87_MASS
     gravity: float = G_EARTH
 
     def __post_init__(self):
-        for name in ("width", "coupling", "profile_z", "atom_count",
+        for name in ("width", "coupling", "detector_z", "atom_count",
                      "mass", "gravity"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"AtomLaserPreset: {name} must be > 0")
         if self.operation_time < 0.0:
             raise DomainError("AtomLaserPreset: operation_time must be >= 0")
+        if not self.detuning_min < self.detuning_max:
+            raise DomainError("AtomLaserPreset: detuning_min must be below detuning_max")
 
     @property
     def system(self) -> PhysicalSystem:
@@ -100,6 +122,20 @@ class AtomLaserPreset:
     @property
     def source(self) -> GaussianSource:
         return GaussianSource(self.width, self.coupling)
+
+    @property
+    def scan_window(self) -> tuple[float, float]:
+        return self.detuning_min, self.detuning_max
+
+    @property
+    def plane(self) -> tuple[float, float]:
+        return energy_from_frequency(self.profile_nu), self.detector_z
+
+    def current_density(self, r, energy):
+        return current_density_gauss(self.system, self.source, r, energy)
+
+    def total_current(self, energy):
+        return total_current_gauss(self.system, self.source, energy)
 
 
 @dataclass(frozen=True)
@@ -157,38 +193,38 @@ def rb_atom_laser() -> AtomLaserPreset:
     )
 
 
+def grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` >= 2 evenly spaced points from ``lo`` to ``hi`` > ``lo``."""
+    if n < 2:
+        raise DomainError(f"grid needs at least 2 points, got {n}")
+    if not lo < hi:
+        raise DomainError(f"grid minimum {lo} must be below maximum {hi}")
+    return np.linspace(lo, hi, n)
+
+
 def photodetachment_cross_section(
     preset: PhotodetachmentPreset, energies
 ) -> ScanResult:
     """Total current J(E) over an energy grid, |C|^2-scaled."""
-    sys = preset.system
-    src = preset.source
     energies = np.asarray(energies, dtype=float)
-    j = total_current_point(sys, src, energies)
-    meta = {
-        "species": preset.species,
-        "field_eV_per_m": preset.field_ev_per_m,
-        "mass_kg": preset.mass,
-        "strength2": preset.strength2,
-        "beta": sys.beta,
-    }
-    return ScanResult(energies, j, xlabel="energy_J", ylabel="current_per_s", meta=meta)
+    meta = {"species": preset.species, "field_eV_per_m": preset.field_ev_per_m,
+            "mass_kg": preset.mass, "strength2": preset.strength2,
+            "beta": preset.system.beta}
+    return ScanResult(energies, preset.total_current(energies), xlabel="energy_J",
+                      ylabel="current_per_s", meta=meta)
 
 
-def radial_density(preset, energy: float, z: float):
-    """The system and j_z(R) on the plane z, R an array, of either preset."""
+def total_current_scan(preset, abscissa) -> ScanResult:
+    """J over the preset's scan axis: ``photodetachment_cross_section`` over
+    energies (J), or J over detunings (Hz) for the atom laser."""
+    if isinstance(preset, PhotodetachmentPreset):
+        return photodetachment_cross_section(preset, abscissa)
+    nus = np.asarray(abscissa, dtype=float)
     sys = preset.system
-    src = preset.source
-    if isinstance(preset, AtomLaserPreset):
-        return sys, lambda R: current_density_gauss(sys, src, (R, 0.0, z), energy)
-    return sys, lambda R: current_density_point(sys, src, (R, 0.0, z), energy)
-
-
-def detector_plane(preset) -> tuple[float, float]:
-    """The preset's default (energy J, plane z m) for images and profiles."""
-    if isinstance(preset, AtomLaserPreset):
-        return energy_from_frequency(preset.profile_nu), preset.profile_z
-    return preset.energy, preset.detector_z
+    meta = {"width_m": preset.width, "coupling_rad_per_s": preset.coupling,
+            "beta": sys.beta, "alpha": sys.beta_f * preset.width}
+    return ScanResult(nus, preset.total_current(energy_from_frequency(nus)),
+                      "nu_Hz", "current_per_s", meta)
 
 
 def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
@@ -204,7 +240,7 @@ def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
 
 def detector_image(preset, half_width: float | None = None,
                    resolution: int = 512) -> RasterImage:
-    """Square raster of j_z on the preset's detector plane (``detector_plane``).
+    """Square raster of j_z on the preset's detector plane (``preset.plane``).
 
     Rotational symmetry about the field axis is exact, so the image is
     computed on a dense 1-D radial grid and revolved.  ``half_width``
@@ -212,12 +248,13 @@ def detector_image(preset, half_width: float | None = None,
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
-    energy, z = detector_plane(preset)
-    sys, j_of_r = radial_density(preset, energy, z)
+    energy, z = preset.plane
+    sys = preset.system
     half_width = detector_half_width(sys, energy, z, half_width)
     n_rad = max(4 * resolution, 1024)
     r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, n_rad)
-    j_rad = np.clip(j_of_r(r_grid), 0.0, None)   # clip FP noise at ring nulls
+    # clip FP noise at ring nulls
+    j_rad = np.clip(preset.current_density((r_grid, 0.0, z), energy), 0.0, None)
     centers = (np.arange(resolution) - (resolution - 1) / 2.0) * (
         2.0 * half_width / resolution
     )
@@ -233,6 +270,25 @@ def detector_image(preset, half_width: float | None = None,
     return RasterImage(img, half_width, meta=meta)
 
 
+def lateral_profile(preset, half_width: float | None, n: int) -> ScanResult:
+    """j_z(x, 0, z) on ``n`` points across the preset's detector plane, x in
+    [-half_width, half_width]; None is the ``detector_image`` default."""
+    energy, z = preset.plane
+    sys = preset.system
+    half_width = detector_half_width(sys, energy, z, half_width)
+    xs = grid(-half_width, half_width, n)
+    if isinstance(preset, AtomLaserPreset):
+        g = gaussian_scaled(sys, preset.source, energy)
+        meta = {"width_m": preset.width, "nu_Hz": preset.profile_nu,
+                "alpha": g.alpha, "epsilon_tilde": g.epsilon_tilde}
+    else:
+        meta = {"energy_J": energy, "epsilon": sys.scale_energy(energy),
+                "zeta": sys.beta_f * z}
+    meta.update(z_m=z, beta=sys.beta, half_width_m=half_width)
+    return ScanResult(xs, preset.current_density((xs, 0.0, z), energy),
+                      "x_m", "j_z", meta)
+
+
 def _classical_radius(sys: PhysicalSystem, energy: float, z: float) -> float:
     """Outer radius of classically allowed arrivals, 2 sqrt(E(E+Fz))/F."""
     reach = energy * (energy + sys.force * z)
@@ -243,43 +299,19 @@ def _classical_radius(sys: PhysicalSystem, energy: float, z: float) -> float:
 
 def atom_laser_depletion(preset: AtomLaserPreset, detunings) -> DepletionCurve:
     """Remaining fraction exp(-J(2 pi hbar nu) T) per detuning."""
-    sys = preset.system
-    src = preset.source
     detunings = np.asarray(detunings, dtype=float)
-    j = total_current_gauss(sys, src, energy_from_frequency(detunings))
+    j = preset.total_current(energy_from_frequency(detunings))
     frac = np.exp(-j * preset.operation_time)
-    meta = {
-        "width_m": preset.width,
-        "coupling_rad_per_s": preset.coupling,
-        "operation_time_s": preset.operation_time,
-        "atom_count": preset.atom_count,
-    }
+    meta = {"width_m": preset.width, "coupling_rad_per_s": preset.coupling,
+            "operation_time_s": preset.operation_time, "atom_count": preset.atom_count}
     return DepletionCurve(detunings, frac, j, meta=meta)
 
 
-def beam_profile_family(
-    preset: AtomLaserPreset, widths, nu: float | None = None,
-    z: float | None = None, half_width: float = 120e-6, n: int = 1201,
-) -> list[ScanResult]:
-    """Lateral j_z(x, 0, z) profiles for a family of source widths."""
-    nu = preset.profile_nu if nu is None else nu
-    z = preset.profile_z if z is None else z
-    energy = energy_from_frequency(nu)
-    xs = np.linspace(-half_width, half_width, n)
-    out = []
-    for a in widths:
-        if not a > 0.0:
-            raise DomainError(f"beam_profile_family: width must be > 0, got {a}")
-        p = replace(preset, width=float(a))
-        sys = p.system
-        src = p.source
-        prof = current_density_gauss(sys, src, (xs, 0.0, z), energy)
-        out.append(ScanResult(
-            xs, prof, xlabel="x_m", ylabel="j_z",
-            meta={"width_m": float(a), "nu_Hz": nu, "z_m": z,
-                  "coupling_rad_per_s": preset.coupling},
-        ))
-    return out
+def beam_profile_family(preset: AtomLaserPreset, widths,
+                        half_width: float = 120e-6, n: int = 1201) -> list[ScanResult]:
+    """``lateral_profile`` of the preset at each source width in ``widths``."""
+    return [lateral_profile(replace(preset, width=float(a)), half_width, n)
+            for a in widths]
 
 
 def current_transition_scan(

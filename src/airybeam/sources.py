@@ -56,6 +56,8 @@ __all__ = [
 _FAR_FIELD_HARD = 3.0   # rho~ < 3 alpha: far-field formulas invalid
 _FAR_FIELD_SOFT = 5.0   # 3..5 alpha: usable with a warning
 _SUM_RULE_EXTENSIONS = 200  # window slabs added on each side before giving up
+_SUM_RULE_TOL = 5e-3        # tail cut, as a fraction of the sum-rule value
+_SCALED_DISTANCE_MAX = 1e100  # farther out, rho^3 in j_z leaves double range
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,14 @@ def _times_exp(what: str, mant, exponent):
     return value
 
 
+def _require_scaled_distance(what: str, *coords) -> None:
+    """RangeError, before rho or rho^3 overflows, for a coordinate too far out."""
+    far = max(float(np.max(np.abs(c), initial=0.0)) for c in coords)
+    if far > _SCALED_DISTANCE_MAX:
+        raise RangeError(f"{what}: scaled distance {far:.3g} from the source is "
+                         f"beyond {_SCALED_DISTANCE_MAX:.0e}, out of double range")
+
+
 def _flat(*arrays) -> tuple[tuple, list[np.ndarray]]:
     """The common broadcast shape, and each array flattened to it."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
@@ -133,6 +143,7 @@ def gaussian_scaled(
         return GaussianScaled(alpha, eps_t[()], log_w[()])
     p = sys.scale_point(r)
     zt = p.zeta + 2.0 * alpha**4
+    _require_scaled_distance("gaussian_scaled", p.xi, p.nu_y, zt)
     rt = np.sqrt(p.xi**2 + p.nu_y**2 + zt**2)
     return GaussianScaled(alpha, eps_t[()], log_w[()], zeta_tilde=zt[()],
                           rho_tilde=rt[()])
@@ -179,6 +190,7 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
     agree to many digits, and their difference would lose them exactly where
     Ai(am) has its ring nulls.
     """
+    _require_scaled_distance("current density", xi, nu, zeta)
     lateral = xi * xi + nu * nu
     rho = np.sqrt(lateral + zeta * zeta)
     if np.any(rho == 0.0):
@@ -359,13 +371,12 @@ def sum_rule_check(
     sys: PhysicalSystem,
     src: SourceModel,
     energy_range: tuple[float, float],
-    tol: float = 5e-3,
 ) -> tuple[float, float]:
     """Integrate J(E) over all energies and compare with (2 pi/hbar) ||sigma||^2.
 
     Returns (lhs, rhs) with rhs = 2 pi hbar Omega^2.  The integration window
     starts from ``energy_range`` and is extended in both directions until
-    the marginal tail contribution drops below tol * rhs / 20.
+    the marginal tail contribution drops below ``_SUM_RULE_TOL`` * rhs / 20.
     """
     if isinstance(src, PointSource):
         raise UnsupportedModelError(
@@ -384,7 +395,7 @@ def sum_rule_check(
     e_lo, e_hi = sorted(sys.scale_energy(e) for e in energy_range)
     total = integral(e_lo, e_hi, 0.0)
     slab = max(e_hi - e_lo, 10.0)
-    cut = tol * rhs * 2.0 * sys.beta / 20.0
+    cut = _SUM_RULE_TOL * rhs * 2.0 * sys.beta / 20.0
     for direction in (-1.0, +1.0):
         edge = e_lo if direction < 0 else e_hi
         for _ in range(_SUM_RULE_EXTENSIONS):

@@ -14,9 +14,8 @@ import numpy as np
 from .green import green_closed, green_oracle
 from .quadrature import gauss_kronrod
 from .scaling import energy_from_frequency, make_system
-from .scenarios import AtomLaserPreset, detector_plane, radial_density
-from .sources import (GaussianSource, gaussian_scaled, sum_rule_check,
-                      total_current_gauss, total_current_point)
+from .scenarios import AtomLaserPreset
+from .sources import GaussianSource, gaussian_scaled, sum_rule_check
 
 _ORIGIN = (0.0, 0.0, 0.0)
 
@@ -41,13 +40,11 @@ def _ratio(name: str, ratio: float, budget: float) -> Check:
 
 def sum_rule(preset: AtomLaserPreset) -> list[Check]:
     """Integral of J over the detuning window / 2 pi hbar Omega^2, per width."""
-    sys = preset.system
-    lo, hi = sorted(energy_from_frequency(nu)
-                    for nu in (preset.detuning_min, preset.detuning_max))
+    window = tuple(map(energy_from_frequency, preset.scan_window))
     out = []
     for a_um in (0.2, 0.5, 1.0, 2.8):
         src = GaussianSource(a_um * 1e-6, preset.coupling)
-        lhs, rhs = sum_rule_check(sys, src, (lo, hi))
+        lhs, rhs = sum_rule_check(preset.system, src, window)
         out.append(_ratio(f"sum-rule a={a_um}um", lhs / rhs, 5e-3))
     return out
 
@@ -88,20 +85,18 @@ def flux(preset, planes) -> list[Check]:
     """Flux of j_z through each plane z (m) / J, at the preset's image energy;
     the radial integral stops where the (virtual) source's Airy argument is 12."""
     sys = preset.system
-    src = preset.source
-    energy, _ = detector_plane(preset)
-    gauss = isinstance(preset, AtomLaserPreset)
-    j_total = (total_current_gauss if gauss else total_current_point)(sys, src, energy)
+    energy, _ = preset.plane
+    j_total = preset.total_current(energy)
     out = []
     for z in planes:
-        if gauss:
-            g = gaussian_scaled(sys, src, energy, (0.0, 0.0, z))
+        if isinstance(preset, AtomLaserPreset):
+            g = gaussian_scaled(sys, preset.source, energy, (0.0, 0.0, z))
             eps, zeta = g.epsilon_tilde, g.zeta_tilde
         else:
             eps, zeta = sys.scale_energy(energy), sys.beta_f * z
         r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys.beta_f
-        _, j_of_r = radial_density(preset, energy, z)
-        total, _ = gauss_kronrod(lambda R: j_of_r(R) * 2.0 * math.pi * R,
-                                 0.0, r_max, limit=2000, epsrel=1e-10)
+        total, _ = gauss_kronrod(
+            lambda R: preset.current_density((R, 0.0, z), energy) * 2.0 * math.pi * R,
+            0.0, r_max, limit=2000, epsrel=1e-10)
         out.append(_ratio(f"flux conservation z={z} m", total / j_total, 1e-3))
     return out

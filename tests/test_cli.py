@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from airybeam import validation
 from airybeam.cli import main
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
-from airybeam.scenarios import detector_image, o_minus
+from airybeam.scenarios import beam_profile_family, detector_image, o_minus, rb_atom_laser
 
 
 def read_csv(path):
@@ -525,3 +526,71 @@ def test_negative_profile_half_width_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "half_width must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+# ----------------------------------------------------------------------------
+# one code path per observable: each overlay model is the main output's
+# function, and huge geometries fail before any NumPy warning
+# ----------------------------------------------------------------------------
+
+def _overlay_at_main_abscissae(tmp_path, argv):
+    """Run ``argv``, then rerun it with an overlay at every other abscissa
+    of its output; the main rows at those abscissae and the model rows."""
+    assert main(argv + ["-o", str(tmp_path / "main.csv")]) == 0
+    xs, ys, _ = read_csv(tmp_path / "main.csv")
+    overlay = tmp_path / "meas.csv"
+    overlay.write_text("".join(f"{x:.17g},1\n" for x in xs[::2]))
+    assert main(argv + ["--overlay", str(overlay), "-o", str(tmp_path / "ov.csv")]) == 0
+    xs_m, ys_m, _ = read_csv(tmp_path / "ov_overlay_model.csv")
+    assert np.array_equal(xs_m, xs[::2])
+    return ys[::2], ys_m
+
+
+@pytest.mark.parametrize("argv", [
+    ["total-current", "--preset", "rb-atom-laser", "--n", "21"],
+    ["total-current", "--preset", "s-minus", "--n", "21"],
+    ["atom-laser", "--n", "21"],
+    ["atom-laser", "--n", "21", "--flip-detuning"],
+], ids=["total-current-rb", "total-current-s-minus", "atom-laser", "atom-laser-flipped"])
+def test_overlay_model_is_main_output(tmp_path, argv):
+    main_rows, model_rows = _overlay_at_main_abscissae(tmp_path, argv)
+    assert np.array_equal(model_rows, main_rows)
+
+
+def test_beam_profile_family_is_density_profile(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["density-profile", "--preset", "rb-atom-laser", "--width", "0.4um",
+                 "--half-width", "90um", "--n", "41", "-o", str(out)]) == 0
+    xs, ys, meta = read_csv(out)
+    preset = rb_atom_laser()
+    assert float(meta["z_m"]) == preset.detector_z
+    (profile,) = beam_profile_family(preset, [float(meta["width_m"])],
+                                     half_width=float(meta["half_width_m"]), n=41)
+    assert np.array_equal(profile.abscissa, xs)
+    assert np.array_equal(profile.values, ys)
+
+
+@pytest.mark.parametrize("z", ["1e160m", "1e200m", "1e300m"])
+@pytest.mark.parametrize("preset", ["o-minus", "rb-atom-laser"])
+@pytest.mark.parametrize("command", ["density-profile", "detector-image"])
+def test_huge_geometry_exits_1_without_warnings(tmp_path, command, preset, z, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--preset", preset, "--z", z, "--n", "8",
+                   "-o", str(tmp_path / "x.out")])
+    assert rc == 1
+    assert "scaled distance" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["total-current", "--emin", "5ueV", "--emax", "5ueV"], "scan_min must be below scan_max"),
+    (["total-current", "--emin", "6ueV", "--emax", "5ueV"], "scan_min must be below scan_max"),
+    (["atom-laser", "--numin", "2kHz", "--numax", "2kHz"],
+     "detuning_min must be below detuning_max"),
+    (["transition", "--numin", "3kHz", "--numax", "-3kHz"],
+     "detuning_min must be below detuning_max"),
+])
+def test_inverted_scan_window_exits_1(tmp_path, argv, fields, capsys):
+    assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 1
+    assert fields in capsys.readouterr().err

@@ -11,7 +11,8 @@ from airybeam.scenarios import (atom_laser_depletion, beam_profile_family,
                                 current_transition_scan, detector_image,
                                 o_minus, photodetachment_cross_section,
                                 rb_atom_laser, s_minus)
-from airybeam.sources import total_current_gauss
+from airybeam.sources import (current_density_gauss, current_density_point,
+                              total_current_gauss, total_current_point)
 from airybeam.validation import flux
 
 from conftest import count_local_maxima
@@ -223,7 +224,7 @@ def test_beam_profile_revolved_flux():
     import dataclasses
     preset = dataclasses.replace(rb_atom_laser(), width=0.4e-6,
                                  coupling=2 * math.pi * 100.0)
-    (check,) = flux(preset, [preset.profile_z])
+    (check,) = flux(preset, [preset.detector_z])
     assert check.ok, check
 
 
@@ -247,3 +248,29 @@ def test_transition_scan_structure():
             assert dev > 0.20 * peak
         if c.width >= 1.0e-6:
             assert dev <= 0.05 * peak
+
+
+@pytest.mark.parametrize("make, lo, hi", [
+    (s_minus, "scan_min", "scan_max"),
+    (o_minus, "scan_min", "scan_max"),
+    (rb_atom_laser, "detuning_min", "detuning_max"),
+])
+def test_preset_rejects_empty_scan_window(make, lo, hi):
+    preset = make()
+    for value in (getattr(preset, hi), getattr(preset, hi) * 2.0):
+        with pytest.raises(DomainError, match=f"{lo} must be below {hi}"):
+            replace(preset, **{lo: value})
+
+
+def test_presets_answer_for_their_source_model():
+    # the plane, j_z and J of each preset are those of its source model
+    for preset, j_z, j_total in ((o_minus(), current_density_point, total_current_point),
+                                 (rb_atom_laser(), current_density_gauss,
+                                  total_current_gauss)):
+        energy, z = preset.plane
+        xs = np.linspace(-1e-5, 1e-5, 7)
+        assert np.array_equal(preset.current_density((xs, 0.0, z), energy),
+                              j_z(preset.system, preset.source, (xs, 0.0, z), energy))
+        assert preset.total_current(energy) == j_total(preset.system, preset.source, energy)
+    assert rb_atom_laser().plane == (energy_from_frequency(2.5e3), 1e-3)
+    assert o_minus().plane == (energy_from_ev(100.5e-6), 0.514)
