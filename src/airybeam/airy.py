@@ -405,14 +405,13 @@ def airy_bracket_log(x):
     """
     x = _argument(x, "airy_bracket_log")
     flat = x.ravel()
-    out = np.empty_like(flat)
     series = flat > _SCALED
-    if not series.all():
-        xd = flat[~series]
-        ai, aip, _, _ = _values(xd)
-        out[~series] = np.log(aip**2 - xd * ai**2)
-    if series.any():
-        out[series] = _bracket_series_log(flat[series])
+
+    def direct(v):
+        ai, aip, _, _ = _values(v)
+        return (np.log(aip**2 - v * ai**2),)
+    (out,) = _piecewise(flat, ((~series, direct),
+                               (series, lambda v: (_bracket_series_log(v),))), 1)
     return _shaped(out, x.shape)
 
 

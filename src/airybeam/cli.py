@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, validation
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
 from .output import ScanResult, write_csv, write_json, write_pgm
-from .scaling import HBAR, energy_from_ev, energy_from_frequency
+from .scaling import energy_from_ev, energy_from_frequency
 from .scenarios import (AtomLaserPreset, atom_laser_depletion,
                         current_transition_scan, detector_image, grid,
                         lateral_profile, o_minus, rb_atom_laser, s_minus,
@@ -181,13 +181,13 @@ def _out_path(args, suffix: str = "") -> str:
 
 
 def _provenance(args) -> dict:
-    """Resolved flag values, recorded so any output can be re-run exactly.
-
-    Execution details that cannot change the numbers (output location,
-    config file name) stay out so reruns remain byte-identical.
-    """
+    """The run's record in the meta of every file ``_write`` writes: ``command``,
+    ``preset`` and each flag with a value as ``arg_<name>`` in SI units, so any
+    output can be re-run exactly.  Execution details that cannot change the
+    numbers (output location, config file name) stay out so reruns remain
+    byte-identical."""
     skip = {"fn", "output", "config"}
-    out = {"command": args.command}
+    out = {"command": args.command, "preset": args.preset}
     for key, val in vars(args).items():
         if key in skip or key == "command" or val is None:
             continue
@@ -234,11 +234,8 @@ def _write_overlay_pair(args, model_fn) -> None:
     if getattr(args, "overlay", None) is None:
         return
     xs, ys = _read_overlay(args.overlay)
-    meta = _provenance(args)
-    _write(ScanResult(xs, ys, "abscissa", "user_data", meta), args,
-           suffix="_overlay_data")
-    model = model_fn(xs)
-    _write(ScanResult(xs, model, "abscissa", "model", meta), args,
+    _write(ScanResult(xs, ys, "abscissa", "user_data"), args, suffix="_overlay_data")
+    _write(ScanResult(xs, model_fn(xs), "abscissa", "model"), args,
            suffix="_overlay_model")
 
 
@@ -248,14 +245,11 @@ def _write_overlay_pair(args, model_fn) -> None:
 
 def _cmd_total_current(args, preset) -> int:
     result = total_current_scan(preset, grid(*preset.scan_window, args.n))
-    meta = _provenance(args)
     summary = ""
     if isinstance(preset, AtomLaserPreset):
         lhs, rhs = sum_rule_check(preset.system, preset.source,
                                   tuple(map(energy_from_frequency, preset.scan_window)))
         summary = f", sum-rule ratio {lhs / rhs:.6f}"
-        meta["preset"] = args.preset
-    result = dataclasses.replace(result, meta=dict(result.meta, **meta))
     _write(result, args)
     _write_overlay_pair(args, lambda xs: total_current_scan(preset, xs).values)
     ipk = int(np.argmax(result.values))
@@ -267,8 +261,6 @@ def _cmd_total_current(args, preset) -> int:
 
 def _cmd_density_profile(args, preset) -> int:
     result = lateral_profile(preset, args.half_width, args.n)
-    meta = dict(result.meta, **_provenance(args), preset=args.preset)
-    result = dataclasses.replace(result, meta=meta)
     _write(result, args)
     print(f"density-profile: peak j_z = {result.values.max():.6g} -> {_out_path(args)}")
     return 0
@@ -289,10 +281,7 @@ def _cmd_atom_laser(args, preset) -> int:
     detunings, counts = nus, curve.fractions * preset.atom_count
     if args.flip_detuning:
         detunings, counts = -detunings[::-1], counts[::-1]
-    meta = dict(curve.meta, **_provenance(args), preset=args.preset,
-                beta=preset.system.beta,
-                alpha=preset.system.beta_f * preset.width)
-    result = ScanResult(detunings, counts, "nu_Hz", "atoms_remaining", meta)
+    result = ScanResult(detunings, counts, "nu_Hz", "atoms_remaining", curve.meta)
     _write(result, args)
     # the model at a shown detuning nu is the curve at sign * nu
     _write_overlay_pair(args, lambda nu: atom_laser_depletion(
@@ -316,10 +305,9 @@ def _cmd_transition(args, preset) -> int:
         _write(c.exact, args, suffix=f"{tag}_exact")
         _write(c.slicing, args, suffix=f"{tag}_slicing")
     areas = [c.area for c in curves]
-    rhs = 2.0 * math.pi * HBAR * preset.coupling**2
-    spread = (max(areas) - min(areas)) / rhs
+    spread = (max(areas) - min(areas)) / curves[0].rhs
     print(f"transition: {len(curves)} widths, sum-rule area ratios = "
-          + ", ".join(f"{a/rhs:.6f}" for a in areas)
+          + ", ".join(f"{c.area/c.rhs:.6f}" for c in curves)
           + f" (spread {spread:.2e}) -> {_out_path(args)}")
     return 0
 
@@ -339,7 +327,9 @@ def _cmd_validate(args, _preset) -> int:
 
 
 def _write(result, args, suffix: str = "") -> None:
-    """Write a ScanResult or RasterImage in the format chosen by ``--format``."""
+    """Write a ScanResult or RasterImage in the ``--format`` chosen, the run's
+    record added to its meta in place (a copy of an image re-checks it)."""
+    result.meta.update(_provenance(args))
     writer = {"csv": write_csv, "json": write_json, "pgm": write_pgm}[args.format]
     writer(result, _out_path(args, suffix))
 

@@ -1,20 +1,21 @@
 """Scan curves, detector rasters, and their deterministic file formats.
 
-CSV: ``#``-prefixed header lines carrying the full parameter provenance
-(sorted keys, fixed formatting, each character outside printable ASCII
-escaped as in a Python literal, so one value stays one ASCII line), then
-``abscissa,value`` rows with 17 significant digits -- parsing them back
-recovers the doubles bit-exactly.
+CSV: ``#`` header lines with the result's ``meta`` -- its parameters and,
+from the command line, the run's record (``command``, ``preset``,
+``arg_<flag>``) -- in sorted keys and fixed formatting, each character
+outside printable ASCII escaped as in a Python literal so one value stays
+one ASCII line; then ``abscissa,value`` rows with 17 significant digits --
+parsing them back recovers the doubles bit-exactly.
 Identical inputs must produce byte-identical files, so nothing
 time- or environment-dependent ever enters a header.
 
 PGM: binary P5, 16-bit big-endian samples, max-normalized, with a
-``<name>.meta.json`` sidecar recording the physical extent and the
-normalization factor.
+``<name>.meta.json`` sidecar recording the physical extent, the
+normalization factor and the ``meta``.
 
-JSON: exact doubles via ``repr``.  An image formats each distinct pixel
-value once and writes the rows from those strings, with the same bytes
-``json.dumps`` gives for the whole document.
+JSON: the ``meta`` and exact doubles via ``repr``.  An image formats each
+distinct pixel value once and writes the rows from those strings, with the
+same bytes ``json.dumps`` gives for the whole document.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
 def write_pgm(image: RasterImage, path) -> None:
     """Write a 16-bit binary PGM plus a ``.meta.json`` sidecar."""
     peak = image.peak
-    scale = 65535.0 / peak if peak > 0.0 else 0.0
-    quantized = np.rint(image.pixels * scale).astype(">u2")
+    scale = 65535.0 / peak if peak > 0.0 else 0.0       # inf for a subnormal peak
+    quantized = np.rint(image.pixels * scale if np.isfinite(scale)
+                        else image.pixels / peak * 65535.0).astype(">u2")
     h, w = quantized.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))

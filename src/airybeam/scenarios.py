@@ -156,6 +156,7 @@ class TransitionCurves:
     exact: ScanResult
     slicing: ScanResult
     area: float                    # full energy integral of the exact curve
+    rhs: float                     # its sum-rule value 2 pi hbar Omega^2
 
 
 def s_minus() -> PhotodetachmentPreset:
@@ -303,6 +304,7 @@ def atom_laser_depletion(preset: AtomLaserPreset, detunings) -> DepletionCurve:
     j = preset.total_current(energy_from_frequency(detunings))
     frac = np.exp(-j * preset.operation_time)
     meta = {"width_m": preset.width, "coupling_rad_per_s": preset.coupling,
+            "beta": preset.system.beta, "alpha": preset.system.beta_f * preset.width,
             "operation_time_s": preset.operation_time, "atom_count": preset.atom_count}
     return DepletionCurve(detunings, frac, j, meta=meta)
 
@@ -333,13 +335,13 @@ def current_transition_scan(
         src = p.source
         j = total_current_gauss(sys, src, energies)
         jsp = total_current_slicing(sys, src, energies)
-        area, _ = sum_rule_check(sys, src, (energies.min(), energies.max()))
+        area, rhs = sum_rule_check(sys, src, (energies.min(), energies.max()))
         meta = {"width_m": float(a), "coupling_rad_per_s": preset.coupling}
         out.append(TransitionCurves(
             width=float(a),
             exact=ScanResult(detunings, j, "nu_Hz", "current_per_s", meta),
             slicing=ScanResult(detunings, jsp, "nu_Hz", "current_per_s",
                                dict(meta, model="slicing")),
-            area=area,
+            area=area, rhs=rhs,
         ))
     return out

@@ -58,6 +58,7 @@ _FAR_FIELD_SOFT = 5.0   # 3..5 alpha: usable with a warning
 _SUM_RULE_EXTENSIONS = 200  # window slabs added on each side before giving up
 _SUM_RULE_TOL = 5e-3        # tail cut, as a fraction of the sum-rule value
 _SCALED_DISTANCE_MAX = 1e100  # farther out, rho^3 in j_z leaves double range
+_ALPHA_MAX = (_SCALED_DISTANCE_MAX / 2.0) ** 0.25  # keeps the shift 2 alpha^4 below it
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,9 @@ def gaussian_scaled(
     sys: PhysicalSystem, src: GaussianSource, energy, r=None
 ) -> GaussianScaled:
     alpha = sys.beta_f * src.width
+    if not alpha <= _ALPHA_MAX:
+        raise RangeError(f"gaussian_scaled: alpha = beta F a = {alpha:.3g} is beyond "
+                         f"{_ALPHA_MAX:.3g}, out of double range")
     eps_t = sys.scale_energy(energy) + 4.0 * alpha**4
     log_w = (
         math.log(sys.hbar * src.coupling)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -32,6 +33,17 @@ def read_csv(path):
             xs.append(float(a))
             ys.append(float(b))
     return np.array(xs), np.array(ys), meta
+
+
+def read_record(path):
+    """The meta a written file carries: its CSV header, its JSON ``meta``,
+    or for a PGM the ``meta`` of its sidecar."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"P5"):
+        return json.loads(Path(f"{path}.meta.json").read_text())["meta"]
+    if data.startswith(b"#"):
+        return read_csv(path)[2]
+    return json.loads(data)["meta"]
 
 
 def test_total_current_run_and_roundtrip(tmp_path):
@@ -137,6 +149,14 @@ def test_pgm_zero_image_guard(tmp_path):
     assert blob.endswith(b"\x00" * 128)
     side = json.loads((tmp_path / "zero.pgm.meta.json").read_text())
     assert side["normalization_peak"] == 0.0
+
+
+def test_pgm_subnormal_peak(tmp_path):
+    # 65535 / 5e-310 overflows: the peak pixel still reads full scale
+    img = RasterImage(np.array([[0.0, 2.5e-310], [5e-310, 1e-320]]), half_width=1e-3)
+    write_pgm(img, tmp_path / "faint.pgm")
+    samples = np.frombuffer((tmp_path / "faint.pgm").read_bytes()[-8:], dtype=">u2")
+    assert samples.tolist() == [0, 32768, 65535, 0]
 
 
 def test_image_rings_match_profile_csv(tmp_path):
@@ -359,8 +379,8 @@ def test_preset_flag_applies_or_exits_2(tmp_path, command, preset, flag):
     assert main(argv) == 0
     assert main(base + ["-o", str(tmp_path / "base.out")]) == 0
     assert _outputs(tmp_path, "flag") != _outputs(tmp_path, "base")
-    if command not in ("detector-image", "transition"):   # no provenance header
-        assert f"arg_{flag}" in read_csv(tmp_path / "flag.out")[2]
+    for path in tmp_path.glob("flag*"):
+        assert f"arg_{flag}" in read_record(path)
 
 
 def test_transition_takes_omega_from_preset(tmp_path):
@@ -594,3 +614,84 @@ def test_huge_geometry_exits_1_without_warnings(tmp_path, command, preset, z, ca
 def test_inverted_scan_window_exits_1(tmp_path, argv, fields, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 1
     assert fields in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["1e60m", "1e80m"])
+@pytest.mark.parametrize("argv", [
+    "total-current --preset rb-atom-laser --width {}",
+    "density-profile --preset rb-atom-laser --width {}",
+    "detector-image --preset rb-atom-laser --n 8 --width {}",
+    "atom-laser --width {}",
+    "transition --widths 1um,{}",
+], ids=lambda argv: argv.split()[0])
+def test_huge_source_width_exits_1_without_warnings(tmp_path, argv, width, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv.format(width).split() + ["-o", str(tmp_path / "x.out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "gaussian_scaled: alpha" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+# ----------------------------------------------------------------------------
+# one provenance record: every file written names its run, and the run it
+# names writes the same bytes again
+# ----------------------------------------------------------------------------
+
+# the SI unit in which the record holds each dimensioned flag
+_SI_UNIT = {"energy": "J", "emin": "J", "emax": "J", "z": "m", "width": "m",
+            "half_width": "m", "widths": "m", "field": "eV/m", "omega": "Hz",
+            "nu": "Hz", "numin": "Hz", "numax": "Hz", "time": "s"}
+# subcommand: its formats, and its flags beyond the preset flags
+_REPLAY = {
+    "total-current": (("csv", "json"), ["--n", "6"]),
+    "density-profile": (("csv", "json"), ["--n", "6", "--half-width", "1mm"]),
+    "detector-image": (("pgm", "json"), ["--n", "4", "--half-width", "1mm"]),
+    "atom-laser": (("csv", "json"), ["--n", "6", "--flip-detuning"]),
+    "transition": (("csv", "json"), ["--n", "6", "--widths", "0.4um,1um"]),
+}
+_REPLAY_CASES = [(cmd, preset, fmt) for cmd, (formats, _) in _REPLAY.items()
+                 for preset in _COMMANDS[cmd][0] for fmt in formats]
+
+
+def replay_argv(record) -> list[str]:
+    """The command line a record names, each value given with its SI unit."""
+    argv = [record["command"]]
+    for key, val in sorted(record.items()):
+        if not key.startswith("arg_"):
+            continue
+        name = key[len("arg_"):]
+        flag = "--" + name.replace("_", "-")
+        if name == "flip_detuning":
+            argv += [flag] * (str(val) == "True")
+            continue
+        items = str(val).split(",") if name == "widths" else [str(val)]
+        argv += [flag, ",".join(item + _SI_UNIT.get(name, "") for item in items)]
+    return argv
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command,preset,fmt", _REPLAY_CASES)
+def test_record_replays_byte_identical(tmp_path, command, preset, fmt):
+    flags = [token for flag in _COMMANDS[command][1].split()
+             if flag in _APPLIES[preset] for token in (f"--{flag}", _FLAG_VALUES[flag])]
+    extra = _REPLAY[command][1]
+    if command in ("total-current", "atom-laser"):
+        overlay = tmp_path / "meas.csv"
+        overlay.write_text("-1000,0.9\n2000,0.99\n" if preset == "rb-atom-laser"
+                           else "1e-24,0.5\n8e-24,1\n")
+        extra = extra + ["--overlay", str(overlay)]
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    assert main([command, "--preset", preset, "--format", fmt, *flags, *extra,
+                 "-o", str(first / f"out.{fmt}")]) == 0
+    # every file, a transition pair and overlay files included, names one run
+    (argv,) = {tuple(replay_argv(read_record(path))) for path in first.iterdir()}
+    assert main([*argv, "-o", str(again / f"out.{fmt}")]) == 0
+    assert _digests(again) == _digests(first)

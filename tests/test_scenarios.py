@@ -234,6 +234,7 @@ def test_transition_scan_structure():
     nus = np.linspace(-20e3, 20e3, 801)
     curves = current_transition_scan(preset, [0.2e-6, 0.4e-6, 1.0e-6, 2.8e-6], nus)
     rhs = 2 * math.pi * HBAR * preset.coupling**2
+    assert [c.rhs for c in curves] == [rhs] * len(curves)
     areas = [c.area for c in curves]
     # equal areas across widths (sum rule), pairwise within 1%
     for x in areas:
