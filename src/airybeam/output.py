@@ -148,9 +148,9 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
 def write_pgm(image: RasterImage, path) -> None:
     """Write a 16-bit binary PGM plus a ``.meta.json`` sidecar."""
     peak = image.peak
-    scale = 65535.0 / peak if peak > 0.0 else 0.0       # inf for a subnormal peak
-    quantized = np.rint(image.pixels * scale if np.isfinite(scale)
-                        else image.pixels / peak * 65535.0).astype(">u2")
+    # divide first: 65535/peak overflows to inf for a subnormal peak
+    quantized = np.rint(image.pixels / peak * 65535.0 if peak > 0.0
+                        else np.zeros_like(image.pixels)).astype(">u2")
     h, w = quantized.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
