@@ -6,7 +6,7 @@ rules, and the photodetachment / atom-laser observables built on them.
 
 __version__ = "0.1.0"
 
-from .airy import ComplexAiryPair, airy_all, airy_modulus_asymptotic
+from .airy import ComplexAiryPair, airy_all
 from .errors import (ConvergenceError, DomainError, RangeError,
                      UnsupportedModelError)
 from .green import GreenValue, green_closed, green_oracle

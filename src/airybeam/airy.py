@@ -4,30 +4,25 @@ Every function takes a float or a NumPy array of any shape and returns the
 same shape; a float in gives NumPy float64 scalars out.  NumPy is the only
 dependency.  Three branches:
 
-* -X_SWITCH < x <= 8.5: a Taylor expansion about the nearest of 73 anchors
-  spaced 0.25 apart on [-9.5, 8.5].  The anchor values of Ai, Ai', Bi and Bi'
-  are a frozen mpmath table (``tools/airy_anchors.py``); the higher
+* x <= -X_SWITCH: the oscillatory asymptotic expansions.  Detector
+  geometries reach x ~ -1e7; phase fidelity degrades slowly there as
+  eps * |x|^(3/2).
+* -X_SWITCH < x <= _SCALED: a Taylor expansion about the nearest of 71
+  anchors spaced 0.25 apart on [-9.5, 8].  The anchor values of Ai, Ai', Bi
+  and Bi' are a frozen mpmath table (``tools/airy_anchors.py``); the higher
   derivatives follow from the Airy equation, y^(n+2) = x0 y^(n) + n y^(n-1),
   and form an (anchor, function, term) coefficient table once, at import.
   Within 0.125 of an anchor, 15 terms leave a truncation error below 1e-18
   of the local size sqrt(Ai^2 + Bi^2).
-* x > 8.5 in ``airy_all``, and x > _SCALED in ``airy_scaled``: the
-  asymptotic series of Ai e^zeta, Ai' e^zeta, Bi e^-zeta and Bi' e^-zeta,
-  zeta = 2/3 x^(3/2).  Their optimal truncation error is about e^(-2 zeta),
-  below 1e-13 from x = 8 up.
-* x <= -X_SWITCH: the oscillatory asymptotic expansions.  Detector
-  geometries reach x ~ -1e7; phase fidelity degrades slowly there as
-  eps * |x|^(3/2).
-
-A fourth series is the asymptotic difference series of the emission bracket
-Ai'^2 - x Ai^2 above _SCALED, where the two terms cancel to O(1/zeta) even
-when the values are exponentially scaled.
-
-One constant, _SCALED = 8, decides where the deep tunneling region starts:
-above it ``airy_scaled`` carries Ai and Bi as a mantissa and an exponent
-s = 2/3 x^(3/2), and ``airy_bracket_log`` sums its series.  At and below it
-``airy_scaled`` returns the ``airy_all`` values with s = 0, so callers that
-combine exponents in log space need no threshold of their own.
+* x > _SCALED = 8, the one handover to the deep tunneling region for every
+  evaluator: the asymptotic series of Ai e^s, Ai' e^s, Bi e^-s and Bi' e^-s,
+  s = 2/3 x^(3/2), whose optimal truncation error is about e^(-2 s), below
+  1e-13 from x = 8 up.  ``airy_scaled`` returns these mantissas with the
+  exponent s (and s = 0 at and below 8, so callers that combine exponents
+  in log space need no threshold of their own); ``airy_all`` multiplies the
+  exponent back in; ``airy_bracket_log`` sums the asymptotic difference
+  series of the emission bracket Ai'^2 - x Ai^2, whose two terms cancel to
+  O(1/s) even when the values are exponentially scaled.
 
 The Taylor sums and the asymptotic series are both evaluated blockwise: up
 to _BLOCK points at a time form one (points, terms) matrix.  The asymptotic
@@ -53,7 +48,6 @@ from .errors import DomainError, RangeError
 __all__ = [
     "ComplexAiryPair",
     "airy_all",
-    "airy_modulus_asymptotic",
     "airy_scaled",
     "airy_bracket_log",
     "X_MAX",
@@ -179,13 +173,10 @@ _ANCHORS = np.array([
     (1.9172560675134309e-07, -5.312713959720545e-07, 303229.6151125334, 819987.8353587997),  # 7.5
     (9.537038961641585e-08, -2.6849288679532617e-07, 599656.6290060069, 1649425.4391610166),  # 7.75
     (4.6922076160992316e-08, -1.3414392979067865e-07, 1199586.00412446, 3354342.3127445388),  # 8.0
-    (2.2837139444822283e-08, -6.626952666987631e-08, 2427018.456122874, 6895457.386769016),  # 8.25
-    (1.0997009755195506e-08, -3.237725440447602e-08, 4965319.541471302, 14326301.030662058),  # 8.5
 ])
 _ANCHOR_LO = -9.5
 _ANCHOR_STEP = 0.25
 _ANCHOR_X = _ANCHOR_LO + _ANCHOR_STEP * np.arange(len(_ANCHORS))
-_TAYLOR_HI = _ANCHOR_X[-1]      # airy_all's Taylor / asymptotic handover, 8.5
 _TAYLOR_TERMS = 15
 
 
@@ -306,7 +297,7 @@ def _oscillatory(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _taylor(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Ai, Ai', Bi, Bi') at flat x within 0.125 of [-9.5, 8.5], each point
+    """(Ai, Ai', Bi, Bi') at flat x within 0.125 of [-9.5, 8], each point
     from its nearest anchor."""
     out = np.empty((4, x.size))
     for b in _blocks(x.size):
@@ -326,13 +317,6 @@ def _positive_scaled(x: np.ndarray) -> tuple[np.ndarray, ...]:
             sbu / (_SQRT_PI * x4), x4 * sbv / _SQRT_PI, s)
 
 
-def _positive(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Ai, Ai', Bi, Bi') from the asymptotic series at flat x in (8.5, X_MAX]."""
-    ai_s, aip_s, bi_s, bip_s, s = _positive_scaled(x)
-    down, up = np.exp(-s), np.exp(s)
-    return ai_s * down, aip_s * down, bi_s * up, bip_s * up
-
-
 def _piecewise(x: np.ndarray, parts, n: int) -> list[np.ndarray]:
     """n flat outputs, each (mask, branch) pair filling them where its mask
     holds with the n values branch(x[mask])."""
@@ -345,32 +329,24 @@ def _piecewise(x: np.ndarray, parts, n: int) -> list[np.ndarray]:
 
 
 def _values(x: np.ndarray) -> list[np.ndarray]:
-    """(Ai, Ai', Bi, Bi') at flat x <= X_MAX: oscillatory asymptotics at and
-    below -X_SWITCH, Taylor up to 8.5, the asymptotic series above."""
+    """(Ai, Ai', Bi, Bi') at flat x <= _SCALED: oscillatory asymptotics at and
+    below -X_SWITCH, Taylor above."""
     osc = x <= -X_SWITCH
-    series = x > _TAYLOR_HI
-    return _piecewise(x, ((osc, _oscillatory), (~(osc | series), _taylor),
-                          (series, _positive)), 4)
-
-
-def airy_modulus_asymptotic(x):
-    """(Ai, Ai', Bi, Bi') from the oscillatory asymptotic expansions, x <= -8."""
-    x = _argument(x, "airy_modulus_asymptotic")
-    if not np.all(x <= -8.0):
-        raise DomainError(f"oscillatory asymptotics need x <= -8, got {x.max()}")
-    return tuple(_shaped(v, x.shape) for v in _oscillatory(x.ravel()))
+    return _piecewise(x, ((osc, _oscillatory), (~osc, _taylor)), 4)
 
 
 def airy_all(x) -> ComplexAiryPair:
     """Evaluate Ai, Ai', Bi, Bi' (and Ci, Ci') at real arguments.
 
-    Raises RangeError if any x > X_MAX, where Bi overflows, and DomainError
-    on NaN.
+    The ``airy_scaled`` values with their exponent multiplied in.  Raises
+    RangeError if any x > X_MAX, where Bi overflows, and DomainError on NaN.
     """
     x = _argument(x, "airy_all")
     if np.any(x > X_MAX):
         raise RangeError(f"airy_all: x = {x.max()} > {X_MAX}; Bi would overflow")
-    return ComplexAiryPair(*(_shaped(v, x.shape) for v in _values(x.ravel())))
+    ai_s, aip_s, bi_s, bip_s, s = airy_scaled(x)
+    down, up = np.exp(-s), np.exp(s)
+    return ComplexAiryPair(ai_s * down, aip_s * down, bi_s * up, bip_s * up)
 
 
 def airy_scaled(x):
@@ -379,10 +355,11 @@ def airy_scaled(x):
     Returns (ai_s, aip_s, bi_s, bip_s, s) with Ai = ai_s*exp(-s),
     Ai' = aip_s*exp(-s), Bi = bi_s*exp(+s) and Bi' = bip_s*exp(+s).  Above
     _SCALED these come from the scaled asymptotic series with
-    s = 2/3 x^(3/2); at and below it they are exactly the ``airy_all`` values
-    with s = 0.  Never overflows, which the current formulas rely on deep in
-    the tunneling regime.  RangeError from X_SCALED_MAX up, naming the
-    largest x; DomainError on NaN.
+    s = 2/3 x^(3/2); at and below it they are the Taylor or oscillatory
+    values with s = 0.  ``airy_all`` is these values times their exponents,
+    so both hand over at _SCALED.  Never overflows, which the current
+    formulas rely on deep in the tunneling regime.  RangeError from
+    X_SCALED_MAX up, naming the largest x; DomainError on NaN.
     """
     x = _argument(x, "airy_scaled")
     flat = x.ravel()

@@ -312,12 +312,15 @@ def _cmd_transition(args, preset) -> int:
     return 0
 
 
+# the suites ``validate --suite`` names, each a function returning its Checks
+_SUITES = {"sum-rule": lambda: validation.sum_rule(rb_atom_laser()),
+           "oracle": lambda: [validation.oracle_agreement(20)],
+           "flux": lambda: validation.flux(o_minus(), (0.35, 0.514))}
+
+
 def _cmd_validate(args, _preset) -> int:
-    suites = {"sum-rule": lambda: validation.sum_rule(rb_atom_laser()),
-              "oracle": lambda: [validation.oracle_agreement(20)],
-              "flux": lambda: validation.flux(o_minus(), (0.35, 0.514))}
     failures = 0
-    for name, run in suites.items():
+    for name, run in _SUITES.items():
         if args.suite in ("all", name):
             for check in run():
                 failures += not check.ok
@@ -397,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_transition)
 
     p = sub.add_parser("validate", help="run the numerical validation suites")
-    p.add_argument("--suite", choices=("all", "sum-rule", "oracle", "flux"),
-                   default="all")
+    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
     p.set_defaults(fn=_cmd_validate)
 
     # let negative unit-suffixed values ("-50ueV") pass as option arguments
@@ -449,6 +451,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, UnsupportedModelError, OSError) as exc:
         print(f"airybeam: {exc}", file=_sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"airybeam: out of memory: {exc}", file=_sys.stderr)
         return 1
 
 

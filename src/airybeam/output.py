@@ -134,7 +134,7 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
         return
     doc = {
         "airybeam": __version__,
-        "meta": {k: result.meta[k] for k in sorted(result.meta)},
+        "meta": result.meta,
         "xlabel": result.xlabel,
         "ylabel": result.ylabel,
         "abscissa": [float(v) for v in result.abscissa],
@@ -162,7 +162,7 @@ def write_pgm(image: RasterImage, path) -> None:
         "half_width_m": image.half_width,
         "pixel_size_m": 2.0 * image.half_width / w,
         "normalization_peak": peak,
-        "meta": {k: image.meta[k] for k in sorted(image.meta)},
+        "meta": image.meta,
     }
     with open(str(path) + ".meta.json", "wb") as fh:
         fh.write(json.dumps(side, sort_keys=True, indent=1).encode("ascii"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 __all__ = [
     "HBAR", "ELECTRON_MASS", "RB87_MASS", "ELEMENTARY_CHARGE", "G_EARTH",
@@ -93,11 +93,23 @@ class ScaledPoint:
 
 
 def make_system(mass: float, force: float, hbar: float = HBAR) -> PhysicalSystem:
-    """Build a PhysicalSystem, validating strict positivity of every input."""
+    """Build a PhysicalSystem, validating strict positivity of every input.
+
+    RangeError if beta or beta*F is not a finite positive double: F^2
+    under- or overflows for forces far outside any laboratory field.
+    """
     for name, val in (("mass", mass), ("force", force), ("hbar", hbar)):
         if not (val > 0.0 and math.isfinite(val)):
             raise DomainError(f"make_system: {name} must be positive and finite, got {val}")
-    return PhysicalSystem(mass=float(mass), force=float(force), hbar=float(hbar))
+    system = PhysicalSystem(mass=float(mass), force=float(force), hbar=float(hbar))
+    try:
+        scales = (system.beta, system.beta_f)
+    except (OverflowError, ZeroDivisionError):
+        scales = (math.nan,)
+    if not all(0.0 < v < math.inf for v in scales):
+        raise RangeError(f"make_system: the scale beta = (m / (4 hbar^2 F^2))^(1/3) "
+                         f"leaves double range for m = {mass:g} kg, F = {force:g} N")
+    return system
 
 
 def energy_from_ev(value_ev: float) -> float:

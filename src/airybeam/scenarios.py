@@ -328,8 +328,6 @@ def current_transition_scan(
     energies = energy_from_frequency(detunings)
     out = []
     for a in widths:
-        if not a > 0.0:
-            raise DomainError(f"current_transition_scan: width must be > 0, got {a}")
         p = replace(preset, width=float(a))
         sys = p.system
         src = p.source

@@ -57,7 +57,9 @@ _FAR_FIELD_HARD = 3.0   # rho~ < 3 alpha: far-field formulas invalid
 _FAR_FIELD_SOFT = 5.0   # 3..5 alpha: usable with a warning
 _SUM_RULE_EXTENSIONS = 200  # window slabs added on each side before giving up
 _SUM_RULE_TOL = 5e-3        # tail cut, as a fraction of the sum-rule value
-_SCALED_DISTANCE_MAX = 1e100  # farther out, rho^3 in j_z leaves double range
+# scaled distances and energies beyond this, and distances below its inverse,
+# leave double range in rho^3 of j_z or in the powers of eps
+_SCALED_DISTANCE_MAX = 1e100
 _ALPHA_MAX = (_SCALED_DISTANCE_MAX / 2.0) ** 0.25  # keeps the shift 2 alpha^4 below it
 
 
@@ -124,6 +126,18 @@ def _require_scaled_distance(what: str, *coords) -> None:
                          f"beyond {_SCALED_DISTANCE_MAX:.0e}, out of double range")
 
 
+def _scaled_energy(what: str, sys: PhysicalSystem, energy) -> np.ndarray:
+    """epsilon = -2 beta E; RangeError beyond _SCALED_DISTANCE_MAX, where its
+    powers leave double range and the Airy phase 2/3 |eps|^(3/2) has no
+    digit left below 2 pi."""
+    eps = sys.scale_energy(energy)
+    big = float(np.max(np.abs(eps), initial=0.0))
+    if big > _SCALED_DISTANCE_MAX:
+        raise RangeError(f"{what}: scaled energy {big:.3g} is beyond "
+                         f"{_SCALED_DISTANCE_MAX:.0e}, out of double range")
+    return eps
+
+
 def _flat(*arrays) -> tuple[tuple, list[np.ndarray]]:
     """The common broadcast shape, and each array flattened to it."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
@@ -137,9 +151,13 @@ def gaussian_scaled(
     if not alpha <= _ALPHA_MAX:
         raise RangeError(f"gaussian_scaled: alpha = beta F a = {alpha:.3g} is beyond "
                          f"{_ALPHA_MAX:.3g}, out of double range")
-    eps_t = sys.scale_energy(energy) + 4.0 * alpha**4
+    hbar_omega = sys.hbar * src.coupling
+    if not hbar_omega > 0.0:
+        raise RangeError(f"gaussian_scaled: hbar Omega underflows to 0 at "
+                         f"Omega = {src.coupling:g} rad/s")
+    eps_t = _scaled_energy("gaussian_scaled", sys, energy) + 4.0 * alpha**4
     log_w = (
-        math.log(sys.hbar * src.coupling)
+        math.log(hbar_omega)
         + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
         + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
     )
@@ -199,6 +217,10 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
     rho = np.sqrt(lateral + zeta * zeta)
     if np.any(rho == 0.0):
         raise DomainError("current density undefined at the source point")
+    if np.any(rho < 1.0 / _SCALED_DISTANCE_MAX):
+        raise RangeError(f"current density: scaled distance {rho.min():.3g} from the "
+                         f"source is below {1.0 / _SCALED_DISTANCE_MAX:.0e}, where "
+                         "rho^3 leaves double range")
     am = eps - zeta + rho
     down = zeta > 0.0
     am[down] = eps[down] + lateral[down] / (rho[down] + zeta[down])
@@ -210,7 +232,8 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
 def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     """Current density j_z (1/(m^2 s) times |C|^2 units) of the delta source."""
     p = sys.scale_point(r)
-    shape, flat = _flat(p.xi, p.nu_y, p.zeta, sys.scale_energy(energy))
+    shape, flat = _flat(p.xi, p.nu_y, p.zeta,
+                        _scaled_energy("current_density_point", sys, energy))
     mant, log_scale = _jz_shape(*flat)
     pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
         2.0 * math.pi * sys.hbar**3
@@ -225,7 +248,8 @@ def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     entire in E and simply decays.
     """
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
-    return pref * np.exp(airy.airy_bracket_log(sys.scale_energy(energy)))
+    eps = _scaled_energy("total_current_point", sys, energy)
+    return pref * np.exp(airy.airy_bracket_log(eps))
 
 
 # ----------------------------------------------------------------------------
@@ -366,7 +390,7 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     derivation assumptions fail.
     """
     alpha = sys.beta_f * src.width
-    eps = sys.scale_energy(energy)
+    eps = _scaled_energy("total_current_slicing", sys, energy)
     pref = 2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / alpha
     return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
 

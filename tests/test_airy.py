@@ -11,9 +11,8 @@ from numpy.testing import assert_allclose
 from scipy.special import airy as scipy_airy
 
 from airybeam import airy
-from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series_log, _positive, _taylor,
-                           airy_all, airy_bracket_log, airy_modulus_asymptotic,
-                           airy_scaled)
+from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series_log, _oscillatory, _taylor,
+                           airy_all, airy_bracket_log, airy_scaled)
 from airybeam.errors import DomainError, RangeError
 
 from airy_reference import PANEL
@@ -39,6 +38,10 @@ def relative_error(got, want):
 def values(x):
     p = airy_all(x)
     return p.ai, p.ai_prime, p.bi, p.bi_prime
+
+
+def oscillatory(x):
+    return tuple(v[0] for v in _oscillatory(np.array([x])))
 
 
 def test_values_at_zero():
@@ -112,7 +115,7 @@ def test_branch_continuity_overlap(center):
     for x in np.linspace(center - 0.5, center + 0.5, 21):
         ai, aip, bi, bip = scipy_airy(x)
         if center < 0:
-            pairs = zip(airy_modulus_asymptotic(x), (ai, aip, bi, bip))
+            pairs = zip(oscillatory(x), (ai, aip, bi, bip))
         else:
             series = math.exp(_bracket_series_log(np.array([x]))[0])
             pairs = [(series, aip**2 - x * ai**2)]
@@ -123,14 +126,9 @@ def test_branch_continuity_overlap(center):
 def test_modulus_asymptote_at_minus_fifty():
     # Ai^2 + Bi^2 approaches 1/(pi sqrt|x|); the leading asymptotic
     # correction itself is 1.25e-6 here (mpmath), hence the 2e-6 bound
-    ai, aip, bi, bip = airy_modulus_asymptotic(-50.0)
+    ai, aip, bi, bip = oscillatory(-50.0)
     target = 1.0 / (math.pi * math.sqrt(50.0))
     assert abs(ai**2 + bi**2 - target) <= 2e-6 * target
-
-
-def test_modulus_asymptotic_needs_oscillatory_region():
-    with pytest.raises(DomainError):
-        airy_modulus_asymptotic(-3.0)
 
 
 def test_range_error_above_cap():
@@ -247,21 +245,25 @@ def test_taylor_meets_oscillatory_at_handover():
     # oscillatory asymptotics agree; airy_all either side of it matches mpmath
     for x in np.linspace(-X_SWITCH - 0.5, -X_SWITCH + 0.5, 21):
         got = [v[0] for v in _taylor(np.array([x]))]
-        assert envelope_error(got, airy_modulus_asymptotic(x)) <= 1e-14, x
+        assert envelope_error(got, oscillatory(x)) <= 1e-14, x
     for x in (-X_SWITCH, np.nextafter(-X_SWITCH, 0.0)):
         assert envelope_error(values(x), mp_airy_maclaurin(x)) <= 1e-14, x
 
 
 def test_taylor_meets_asymptotic_series_at_handover():
-    # airy_all's last Taylor point (8.5) and first asymptotic-series point,
-    # and the two branches from x = 8 to the last anchor's reach
+    # the last Taylor point (the last anchor, 8) and the first
+    # asymptotic-series point, and the two branches from x = 8 to the last
+    # anchor's reach
     top = airy._ANCHOR_X[-1]
+    assert top == airy._SCALED
     for x in (top, np.nextafter(top, np.inf)):
         assert relative_error(values(x), mp_airy_maclaurin(x)) <= 1e-14, x
-    for x in np.linspace(top - 0.5, top + 0.125, 21):
-        xs = np.array([x])
-        got, want = ([v[0] for v in branch(xs)] for branch in (_positive, _taylor))
-        assert relative_error(got, want) <= 1e-14, x
+    for x in np.linspace(top, top + 0.125, 21):
+        ai_s, aip_s, bi_s, bip_s, s = (v[0] for v in airy._positive_scaled(np.array([x])))
+        series = (ai_s * math.exp(-s), aip_s * math.exp(-s),
+                  bi_s * math.exp(s), bip_s * math.exp(s))
+        taylor = [v[0] for v in _taylor(np.array([x]))]
+        assert relative_error(series, taylor) <= 1e-14, x
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

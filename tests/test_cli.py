@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import airybeam
-from airybeam import validation
+from airybeam import cli, validation
 from airybeam.cli import main
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
@@ -631,6 +632,77 @@ def test_huge_source_width_exits_1_without_warnings(tmp_path, argv, width, capsy
     assert rc == 1
     err = capsys.readouterr().err
     assert "gaussian_scaled: alpha" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+# every magnitude from 1e-300 to 1e300 a preset flag may be given, both signs
+_EXTREMES = ["0"] + [f"{sign}1e{e}" for e in (300, 250, 200, 150, 100, 30,
+                                               -30, -100, -150, -200, -250, -300)
+                     for sign in ("", "-")]
+
+
+def _non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(map(_non_finite, value.values()))
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    return False
+
+
+def _written_numbers_finite(path) -> bool:
+    """Whether every number of a written JSON or CSV file is finite: JSON
+    values, or CSV rows and the numeric header values."""
+    data = path.read_bytes()
+    if not data.startswith(b"#"):
+        return not _non_finite(json.loads(data))
+    for line in data.decode("ascii").splitlines():
+        fields = line[2:].split(" = ", 1)[1:] if line.startswith("#") else line.split(",")
+        for text in fields:
+            try:
+                value = float(text)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("command,preset,flag",
+                         [case for case in _CASES if case[2] in _APPLIES[case[1]]])
+def test_preset_flag_at_extreme_values(tmp_path, command, preset, flag, capsys):
+    # exit 0, 1 or 2, with no exception or warning out of main, and on exit 0
+    # only finite numbers in the files written
+    unit = re.fullmatch(r"-?[0-9.]+(\D*)", _FLAG_VALUES[flag]).group(1)
+    for k, value in enumerate(_EXTREMES):
+        out = tmp_path / str(k)
+        out.mkdir()
+        argv = [command, "--preset", preset, *_COMMANDS[command][2],
+                f"--{flag}", value + unit, "-o", str(out / "x.out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rc = main(argv)
+            except SystemExit as exc:        # argparse's usage errors
+                rc = exc.code
+            except Exception as exc:
+                pytest.fail(f"{' '.join(argv)}: {exc!r} escaped main")
+        assert rc in (0, 1, 2), argv
+        if rc == 0:
+            for path in out.iterdir():
+                assert _written_numbers_finite(path), (argv, path.name)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_out_of_memory_is_a_message(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape "
+                          "(200000, 200000) and data type float64")
+    monkeypatch.setattr(cli, "detector_image", exhausted)
+    assert main(["detector-image", "--n", "200000", "-o", str(tmp_path / "x.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("airybeam: out of memory: Unable to allocate 298. GiB")
     assert not list(tmp_path.iterdir())
 
 

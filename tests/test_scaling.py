@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from airybeam.errors import DomainError
+from airybeam.errors import DomainError, RangeError
 from airybeam.scaling import (ELECTRON_MASS, G_EARTH, HBAR, RB87_MASS,
                               energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
@@ -46,6 +46,13 @@ def test_make_system_rejects_nonpositive(field):
         with pytest.raises(DomainError, match=field):
             make_system(**kwargs)
         kwargs[field] = 1.0
+
+
+@pytest.mark.parametrize("force", [1e-200, 1e200])
+def test_make_system_rejects_beta_out_of_range(force):
+    # F^2 underflows to 0 or overflows: beta is no finite positive double
+    with pytest.raises(RangeError, match="make_system: the scale beta"):
+        make_system(1.0, force, 1.0)
 
 
 def test_scale_point_origin(unit_system):

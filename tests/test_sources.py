@@ -384,6 +384,33 @@ def test_total_current_gauss_overflow_guard(unit_system):
         total_current_gauss(unit_system, GaussianSource(0.5, 1e170), 0.0)
 
 
+@pytest.mark.parametrize("current", [
+    lambda sys, e: total_current_point(sys, PointSource(1.0), e),
+    lambda sys, e: current_density_point(sys, PointSource(1.0), (0.0, 0.0, 1.0), e),
+    lambda sys, e: total_current_gauss(sys, GaussianSource(1.0, 1.0), e),
+    lambda sys, e: total_current_slicing(sys, GaussianSource(1.0, 1.0), e),
+], ids=["point", "density", "gauss", "slicing"])
+def test_scaled_energy_beyond_range_raises(unit_system, current):
+    # eps = -2 beta E = 2e100 at beta = 1: the Airy phase has no digit left
+    assert np.all(np.isfinite(current(unit_system, np.array([0.5, 1.0]))))
+    with pytest.raises(RangeError, match="scaled energy 2e\\+100"):
+        current(unit_system, np.array([1.0, -1e100]))
+
+
+def test_current_density_below_scaled_distance_range(unit_system):
+    # rho^3 underflows below rho = 1e-100; the source point itself is a DomainError
+    with pytest.raises(RangeError, match="scaled distance 1e-120"):
+        current_density_point(unit_system, PointSource(1.0), (0.0, 0.0, 1e-120), 0.0)
+    with pytest.raises(DomainError, match="source point"):
+        current_density_point(unit_system, PointSource(1.0), (0.0, 0.0, 0.0), 0.0)
+
+
+def test_gaussian_weight_underflow_raises(rb_system):
+    # hbar Omega underflows to 0 before its log is taken
+    with pytest.raises(RangeError, match="hbar Omega underflows"):
+        total_current_gauss(rb_system, GaussianSource(1e-6, 1e-300), 0.0)
+
+
 def test_airy_argument_beyond_airye_raises(unit_system):
     # a- = 1.2e6 on the axis below the source, beyond airy.X_SCALED_MAX = 2^20
     r = (0.0, 0.0, -6e5)

@@ -3,7 +3,7 @@
     python tools/airy_anchors.py
 
 prints the ``_ANCHORS`` literal: Ai, Ai', Bi and Bi' at x = -9.5 + 0.25 k,
-k = 0, ..., 72, each the double nearest to its 40-digit mpmath value.  Paste
+k = 0, ..., 70, each the double nearest to its 40-digit mpmath value.  Paste
 the output over the literal in airy.py; ``tests/test_airy.py`` reruns this
 script and checks that the two tables are equal.  Needs mpmath, a test
 dependency; the package itself never imports it.
@@ -15,7 +15,7 @@ import mpmath as mp
 
 LO = -9.5
 STEP = 0.25
-COUNT = 73
+COUNT = 71
 DIGITS = 40
 
 
