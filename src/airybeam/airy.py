@@ -20,16 +20,19 @@ dependency.  Three branches:
   1e-13 from x = 8 up.  ``airy_scaled`` returns these mantissas with the
   exponent s (and s = 0 at and below 8, so callers that combine exponents
   in log space need no threshold of their own); ``airy_all`` multiplies the
-  exponent back in; ``airy_bracket_log`` sums the asymptotic difference
-  series of the emission bracket Ai'^2 - x Ai^2, whose two terms cancel to
-  O(1/s) even when the values are exponentially scaled.
+  exponent back in.
+
+``airy_bracket_scaled`` gives the log of the emission bracket Ai'^2 - x Ai^2
+in the same form, (m, s) with log bracket = m - 2 s: from ``airy_scaled``'s
+values at and below _SCALED, above it from the series of v_k - u_k, in
+which the bracket's two terms, cancelling to O(1/s), subtract exactly.
 
 The Taylor sums and the asymptotic series are both evaluated blockwise: up
-to _BLOCK points at a time form one (points, terms) matrix.  The asymptotic
-series are summed from precomputed coefficient vectors u_k: each point's
-terms past its truncation index are masked off, and the rest are summed in
-order of k.  A scalar costs a few dozen NumPy calls however many terms it
-needs, and memory stays bounded for any number of points.
+to _BLOCK points at a time form one (points, terms) matrix.  One engine,
+``_truncated_sums``, sums every asymptotic series from rows of precomputed
+coefficients, truncated together and in order of k.  A scalar costs a few
+dozen NumPy calls however many terms it needs, and memory stays bounded
+for any number of points.
 
 Arguments above X_MAX raise RangeError in ``airy_all`` (Bi overflows
 there), and arguments from X_SCALED_MAX up raise it in ``airy_scaled``; a
@@ -50,6 +53,7 @@ __all__ = [
     "airy_all",
     "airy_scaled",
     "airy_bracket_log",
+    "airy_bracket_scaled",
     "X_MAX",
     "X_SCALED_MAX",
     "X_SWITCH",
@@ -95,10 +99,12 @@ _SPLIT_ROWS = np.array([
     np.where(_EVEN, _QUARTER_PHASE * _V, 0.0),
     np.where(_EVEN, 0.0, _QUARTER_PHASE * _V),
 ])
-# the sums for x > 0: alternating ones of u_k and v_k (Ai, Ai'), same-sign
-# ones (Bi, Bi'), and the alternating sum of v_k - u_k = u_k * 12k/(1 - 6k)
+# the sums for x > 0: alternating ones of u_k and v_k (Ai, Ai') and
+# same-sign ones (Bi, Bi'); the bracket's are the alternating ones of u_k,
+# v_k and v_k - u_k = u_k * 12k/(1 - 6k)
 _POSITIVE_ROWS = np.array([_ALTERNATING * _U, _ALTERNATING * _V, _U, _V])
-_DIFFERENCE = _ALTERNATING * _U * 12.0 * _K / (1.0 - 6.0 * _K)
+_BRACKET_ROWS = np.array([*_POSITIVE_ROWS[:2],
+                          _ALTERNATING * _U * 12.0 * _K / (1.0 - 6.0 * _K)])
 
 _ANCHORS = np.array([
     # Ai, Ai', Bi, Bi' at x = -9.5 + 0.25 k; generated by tools/airy_anchors.py
@@ -263,26 +269,8 @@ def _truncated_sums(zeta: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _difference_sum(zeta: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^k (v_k - u_k) zeta^-k, truncated before its first term that
-    is not smaller than the one before, or after one below 1e-22 of the
-    running sum."""
-    out = np.empty_like(zeta)
-    for b in _blocks(zeta.size):
-        term = _DIFFERENCE * zeta[b, None] ** -_K
-        size = np.abs(term)
-        sums = np.cumsum(term, axis=1)
-        shrinks = np.ones(size[:, 1:].shape, dtype=bool)
-        shrinks[:, 1:] = size[:, 2:] < size[:, 1:-1]
-        above = np.ones_like(shrinks)
-        above[:, 1:] = ~(size[:, 1:-1] < 1e-22 * np.abs(sums[:, 1:-1]))
-        last = _prefix(shrinks & above)
-        out[b] = sums[np.arange(last.size), last]
-    return out
-
-
 def _oscillatory(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Ai, Ai', Bi, Bi') from the oscillatory expansions at flat x <= -8."""
+    """(Ai, Ai', Bi, Bi') from the oscillatory expansions at flat x <= -X_SWITCH."""
     z = -x
     zeta = (2.0 / 3.0) * z**1.5
     P, Q, R, S = _truncated_sums(zeta, _SPLIT_ROWS)
@@ -328,13 +316,6 @@ def _piecewise(x: np.ndarray, parts, n: int) -> list[np.ndarray]:
     return out
 
 
-def _values(x: np.ndarray) -> list[np.ndarray]:
-    """(Ai, Ai', Bi, Bi') at flat x <= _SCALED: oscillatory asymptotics at and
-    below -X_SWITCH, Taylor above."""
-    osc = x <= -X_SWITCH
-    return _piecewise(x, ((osc, _oscillatory), (~osc, _taylor)), 4)
-
-
 def airy_all(x) -> ComplexAiryPair:
     """Evaluate Ai, Ai', Bi, Bi' (and Ci, Ci') at real arguments.
 
@@ -366,36 +347,51 @@ def airy_scaled(x):
     if np.any(flat >= X_SCALED_MAX):
         raise RangeError(f"airy_scaled: x must stay below X_SCALED_MAX = 2^20, got "
                          f"values up to {flat.max()}")
-    scaled = flat > _SCALED
-    out = _piecewise(flat, ((~scaled, lambda v: (*_values(v), np.zeros_like(v))),
+    osc, scaled = flat <= -X_SWITCH, flat > _SCALED
+    out = _piecewise(flat, ((osc, _unscaled(_oscillatory)),
+                            (~osc & ~scaled, _unscaled(_taylor)),
                             (scaled, _positive_scaled)), 5)
     return tuple(_shaped(v, x.shape) for v in out)
 
 
-def airy_bracket_log(x):
-    """log of Ai'(x)^2 - x*Ai(x)^2, the emission bracket of the total currents.
+def _unscaled(branch):
+    """``branch`` with the exponent s = 0 appended to its four values."""
+    return lambda v: (*branch(v), np.zeros_like(v))
 
-    The bracket equals the integral of Ai^2 from x to infinity, hence is
-    positive for every real x.  Above _SCALED the two terms cancel to O(1/zeta);
-    the difference is then formed inside the asymptotic series where it is
-    exact, keeping ~12 significant digits even at x ~ 1e3.
+
+def airy_bracket_scaled(x):
+    """The emission bracket Ai'(x)^2 - x*Ai(x)^2 of the total currents, as
+    its log split in two: (m, s) with log bracket = m - 2 s.
+
+    Above _SCALED, s = 2/3 x^(3/2) and m comes from the asymptotic series,
+    in which the bracket's two terms, which cancel to O(1/s), are subtracted
+    exactly; at and below it, s = 0 and m is formed from ``airy_scaled``'s
+    values.  A caller whose own exponent cancels -2 s can so cancel it
+    analytically.  The bracket equals the integral of Ai^2 from x to
+    infinity, hence is positive for every real x.  DomainError on NaN.
     """
-    x = _argument(x, "airy_bracket_log")
+    x = _argument(x, "airy_bracket_scaled")
     flat = x.ravel()
     series = flat > _SCALED
 
     def direct(v):
-        ai, aip, _, _ = _values(v)
-        return (np.log(aip**2 - v * ai**2),)
-    (out,) = _piecewise(flat, ((~series, direct),
-                               (series, lambda v: (_bracket_series_log(v),))), 1)
-    return _shaped(out, x.shape)
+        ai, aip = airy_scaled(v)[:2]
+        return np.log(aip**2 - v * ai**2), np.zeros_like(v)
+    out = _piecewise(flat, ((~series, direct), (series, _bracket_series)), 2)
+    return tuple(_shaped(v, x.shape) for v in out)
 
 
-def _bracket_series_log(x: np.ndarray) -> np.ndarray:
-    """The emission bracket's log from its asymptotic series, at flat x > 7.5."""
-    zeta = (2.0 / 3.0) * x**1.5
-    su, sv = _truncated_sums(zeta, _POSITIVE_ROWS[:2])
-    diff = _difference_sum(zeta)
-    # Ai'^2 - x Ai^2 = exp(-2 zeta) * sqrt(x)/(4 pi) * (sv - su)(sv + su)
-    return -2.0 * zeta + np.log(np.sqrt(x) / (4.0 * math.pi) * diff * (sv + su))
+def airy_bracket_log(x):
+    """log of Ai'(x)^2 - x*Ai(x)^2: m - 2 s of ``airy_bracket_scaled``,
+    with ~12 significant digits even at x ~ 1e3."""
+    m, s = airy_bracket_scaled(_argument(x, "airy_bracket_log"))
+    return m - 2.0 * s
+
+
+def _bracket_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The emission bracket's (m, s) from its asymptotic series, at flat
+    x > _SCALED."""
+    s = (2.0 / 3.0) * x**1.5
+    su, sv, diff = _truncated_sums(s, _BRACKET_ROWS)
+    # Ai'^2 - x Ai^2 = exp(-2 s) * sqrt(x)/(4 pi) * (sv - su)(sv + su)
+    return np.log(np.sqrt(x) / (4.0 * math.pi) * diff * (sv + su)), s
