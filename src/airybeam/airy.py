@@ -366,8 +366,8 @@ def airy_bracket_scaled(x):
     Above _SCALED, s = 2/3 x^(3/2) and m comes from the asymptotic series,
     in which the bracket's two terms, which cancel to O(1/s), are subtracted
     exactly; at and below it, s = 0 and m is formed from ``airy_scaled``'s
-    values.  A caller whose own exponent cancels -2 s can so cancel it
-    analytically.  The bracket equals the integral of Ai^2 from x to
+    values.  A caller can so cancel -2 s against an exponent of its own in
+    closed form.  The bracket equals the integral of Ai^2 from x to
     infinity, hence is positive for every real x.  DomainError on NaN.
     """
     x = _argument(x, "airy_bracket_scaled")

@@ -13,7 +13,9 @@ PGM: binary P5, 16-bit big-endian samples, max-normalized, with a
 ``<name>.meta.json`` sidecar recording the physical extent, the
 normalization factor and the ``meta``.
 
-JSON: the ``meta`` and exact doubles via ``repr``.  An image formats each
+JSON: the ``meta`` and exact doubles via ``repr``; the package version sits
+at the top level of a scan and in the ``meta`` of an image, whose top-level
+keys stay ``half_width_m``, ``meta`` and ``pixels``.  An image formats each
 distinct pixel value once and writes the rows from those strings, with the
 same bytes ``json.dumps`` gives for the whole document.
 """
@@ -117,7 +119,8 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
     ``json.dumps(doc, sort_keys=True)`` on the whole image document.
     """
     if isinstance(result, RasterImage):
-        head = json.dumps({"half_width_m": result.half_width, "meta": result.meta},
+        meta = {**result.meta, "airybeam": __version__}
+        head = json.dumps({"half_width_m": result.half_width, "meta": meta},
                           sort_keys=True)
         # the image repeats few distinct doubles (an 8-fold symmetric ring):
         # format each once and look every pixel up by its bit pattern, which

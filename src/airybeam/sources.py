@@ -118,6 +118,15 @@ def _times_exp(what: str, mant, exponent):
     return value
 
 
+def _coupling_squared(what: str, src: GaussianSource) -> float:
+    """Omega^2; RangeError, naming Omega, where it leaves double range."""
+    try:
+        return src.coupling**2
+    except OverflowError:
+        raise RangeError(f"{what}: Omega^2 overflows double range at "
+                         f"Omega = {src.coupling:g} rad/s") from None
+
+
 def _require_scaled_distance(what: str, *coords) -> None:
     """RangeError, before rho or rho^3 overflows, for a coordinate too far out."""
     far = max(float(np.max(np.abs(c), initial=0.0)) for c in coords)
@@ -366,6 +375,13 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
     The sign of the second bracket term follows eps = -2 beta E: it is the
     point formula's +2 beta E Ai^2 term in shifted variables.  Exact (not
     far-field): the near-field wave is real and drops out of the current.
+
+    Above the bracket's series handover its log is m - 2 s with
+    s = 2/3 eps~^(3/2).  The weight's exponent and -2 s are each of size
+    alpha^6 and cancel; their sum is formed without the cancellation, from
+    eps = -2 beta E itself, as
+    -eps^2 (2 + t)/((1 + t)(3 alpha^2 + 1.5 sqrt(eps~))), t = 2 alpha^2/sqrt(eps~),
+    which tends to the point source's -4/3 eps^(3/2) as t -> 0.
     """
     g = gaussian_scaled(sys, src, energy)
     log_pref = (
@@ -375,11 +391,15 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
         + 3.0 * math.log(g.alpha)
         + math.log(sys.beta)
     )
-    exponent = log_pref + (
-        4.0 * g.alpha**2 * (g.epsilon_tilde - 4.0 * g.alpha**4 / 3.0)
-        + airy.airy_bracket_log(g.epsilon_tilde)
-    )
-    return _times_exp("total_current_gauss", 1.0, exponent)[()]
+    shape, (eps, eps_t) = _flat(sys.scale_energy(energy), g.epsilon_tilde)
+    m, s = airy.airy_bracket_scaled(eps_t)
+    a2 = g.alpha**2
+    tail = 4.0 * a2 * (eps_t - 4.0 * g.alpha**4 / 3.0) + m
+    far = s > 0.0
+    root = np.sqrt(eps_t[far])
+    t = 2.0 * a2 / root
+    tail[far] = m[far] - eps[far]**2 * (2.0 + t) / ((1.0 + t) * (3.0 * a2 + 1.5 * root))
+    return _times_exp("total_current_gauss", 1.0, log_pref + tail).reshape(shape)[()]
 
 
 def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
@@ -391,7 +411,8 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     """
     alpha = sys.beta_f * src.width
     eps = _scaled_energy("total_current_slicing", sys, energy)
-    pref = 2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / alpha
+    omega2 = _coupling_squared("total_current_slicing", src)
+    pref = 2.0 * math.sqrt(math.pi) * sys.hbar * omega2 * sys.beta / alpha
     return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
 
 
@@ -411,7 +432,7 @@ def sum_rule_check(
             "sum_rule_check: the delta source has no square-integrable norm, "
             "so the total-current sum rule does not apply to it"
         )
-    rhs = 2.0 * math.pi * sys.hbar * src.coupling**2
+    rhs = 2.0 * math.pi * sys.hbar * _coupling_squared("sum_rule_check", src)
 
     def j_eps(eps):
         return total_current_gauss(sys, src, sys.unscale_energy(eps))

@@ -518,7 +518,7 @@ def test_write_json_raster_image_bytes(tmp_path):
                       half_width=1.25e-3, meta={"z_m": 0.5, "beta": 2.0})
     write_json(img, tmp_path / "img.json")
     doc = {"pixels": img.pixels.tolist(), "half_width_m": img.half_width,
-           "meta": img.meta}
+           "meta": {**img.meta, "airybeam": airybeam.__version__}}
     assert (tmp_path / "img.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
@@ -615,6 +615,19 @@ def test_huge_geometry_exits_1_without_warnings(tmp_path, command, preset, z, ca
 def test_inverted_scan_window_exits_1(tmp_path, argv, fields, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 1
     assert fields in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "total-current --preset rb-atom-laser --width 20um --n 50",
+    "transition --widths 20um --n 21",
+], ids=lambda argv: argv.split()[0])
+def test_wide_condensate_meets_sum_rule(tmp_path, argv, capsys):
+    # alpha = 33 at 20 um: the exact J's alpha^6 exponents cancel analytically
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split() + ["-o", str(tmp_path / "x.csv")]) == 0
+    ratio = re.search(r"sum-rule (?:area )?ratios? =? ?([0-9.]+)", capsys.readouterr().out)
+    assert abs(float(ratio.group(1)) - 1.0) <= 5e-3
 
 
 @pytest.mark.parametrize("width", ["1e60m", "1e80m"])

@@ -3,7 +3,7 @@ and the finiteness checks of the result types.
 
 ``write_json`` formats each distinct pixel value of a ``RasterImage`` once;
 these tests hold its bytes to the plain encoding of
-``{"half_width_m", "meta", "pixels": rows}``.
+``{"half_width_m", "meta", "pixels": rows}``, the package version in ``meta``.
 """
 
 import json
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from airybeam import __version__
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json
 from airybeam.scenarios import detector_image, o_minus, rb_atom_laser
@@ -28,7 +29,8 @@ POOL = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, 1.5, 2.0 / 3.0, 7.0, 1e-9,
 
 
 def reference(image):
-    doc = {"half_width_m": image.half_width, "meta": image.meta,
+    doc = {"half_width_m": image.half_width,
+           "meta": {**image.meta, "airybeam": __version__},
            "pixels": image.pixels.tolist()}
     return json.dumps(doc, sort_keys=True) + "\n"
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -173,7 +173,8 @@ def test_infinite_limit_is_a_domain_error():
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(st.floats(0.2e-6, 3e-6), st.floats(10.0, 1000.0))
+@given(st.floats(0.2e-6, 30e-6), st.floats(10.0, 1000.0))
+@example(20e-6, 105.585)
 def test_sum_rule_within_budget(width, nu):
     preset = rb_atom_laser()
     lo = energy_from_frequency(preset.detuning_min)

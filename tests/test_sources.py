@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -379,6 +380,26 @@ def test_continuity_equation_with_source_term(unit_system):
         assert abs(div - rhs) <= 1e-4 * scale
 
 
+@pytest.mark.parametrize("width", [2.8e-6, 10e-6, 20e-6])
+def test_total_current_gauss_matches_mpmath_closed_form(rb_system, width):
+    # the weight's exponent 4 alpha^2 (eps~ - 4 alpha^4/3) and the bracket's
+    # -4/3 eps~^(3/2) are each of size alpha^6 (alpha = 33 at 20 um); their
+    # cancellation must not cost digits.  The reference takes the same
+    # double alpha and eps and forms the closed form at 60 digits.
+    src = GaussianSource(width, 2 * math.pi * 105.585)
+    energies = energy_from_frequency(np.linspace(-3e3, 3e3, 11))
+    got = total_current_gauss(rb_system, src, energies)
+    with mp.workdps(60):
+        alpha = mp.mpf(rb_system.beta_f * width)
+        for e, j in zip(energies, got):
+            et = mp.mpf(float(rb_system.scale_energy(e))) + 4 * alpha**4
+            want = (64 * mp.pi**1.5 * mp.mpf(rb_system.hbar) * mp.mpf(src.coupling)**2
+                    * alpha**3 * mp.mpf(rb_system.beta)
+                    * mp.exp(4 * alpha**2 * (et - 4 * alpha**4 / 3))
+                    * (mp.airyai(et, 1)**2 - et * mp.airyai(et)**2))
+            assert abs(j / float(want) - 1.0) <= 1e-13
+
+
 def test_total_current_gauss_overflow_guard(unit_system):
     with pytest.raises(RangeError, match="exponent"):
         total_current_gauss(unit_system, GaussianSource(0.5, 1e170), 0.0)
@@ -474,6 +495,16 @@ def test_sum_rule_rhs_scalings(rb_system):
     _, rhs3 = sum_rule_check(rb_system, GaussianSource(2e-6, 100.0), (lo, hi))
     assert_allclose(rhs2, 4.0 * rhs1, rtol=0)   # Omega^2 scaling
     assert rhs3 == rhs1                          # width-independent norm
+
+
+def test_slicing_coupling_squared_overflow_raises(rb_system):
+    with pytest.raises(RangeError, match="Omega = 1e\\+300"):
+        total_current_slicing(rb_system, GaussianSource(1e-6, 1e300), 0.0)
+
+
+def test_sum_rule_coupling_squared_overflow_raises(rb_system):
+    with pytest.raises(RangeError, match="Omega = 1e\\+300"):
+        sum_rule_check(rb_system, GaussianSource(1e-6, 1e300), (-1e-30, 1e-30))
 
 
 def test_sum_rule_nan_current_raises(rb_system, monkeypatch):
