@@ -9,15 +9,16 @@ parsing them back recovers the doubles bit-exactly.
 Identical inputs must produce byte-identical files, so nothing
 time- or environment-dependent ever enters a header.
 
-PGM: binary P5, 16-bit big-endian samples, max-normalized, with a
-``<name>.meta.json`` sidecar recording the physical extent, the
-normalization factor and the ``meta``.
+PGM: binary P5, 16-bit big-endian samples, max-normalized and quantized
+in blocks of rows, with a ``<name>.meta.json`` sidecar recording the
+physical extent, the normalization factor and the ``meta``.
 
 JSON: the ``meta`` and exact doubles via ``repr``; the package version sits
 at the top level of a scan and in the ``meta`` of an image, whose top-level
 keys stay ``half_width_m``, ``meta`` and ``pixels``.  An image formats each
 distinct pixel value once and writes the rows from those strings, with the
-same bytes ``json.dumps`` gives for the whole document.
+same bytes ``json.dumps`` gives for the whole document; of a raster mirrored
+top to bottom only the upper rows are formatted.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from . import __version__
 from .errors import DomainError
 
 __all__ = ["ScanResult", "RasterImage", "write_csv", "write_json", "write_pgm"]
+
+_PGM_ROWS = 128     # rows quantized per block in write_pgm
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,10 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
     """JSON rendering of a ScanResult or a RasterImage (exact doubles via repr).
 
     Image pixels are encoded row by row, never as one string of the raster.
-    Each distinct double is formatted once; the bytes equal those of
+    Each distinct double is formatted once.  When the raster is mirrored top
+    to bottom (row n-1-i equal to row i bit for bit, as ``detector_image``
+    makes it), only the upper rows are formatted and the lower ones are
+    written again in mirror order.  The bytes equal those of
     ``json.dumps(doc, sort_keys=True)`` on the whole image document.
     """
     if isinstance(result, RasterImage):
@@ -126,13 +132,20 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
         # format each once and look every pixel up by its bit pattern, which
         # keeps -0.0 and 0.0 apart where a float comparison would not
         bits = result.pixels.view(np.uint64)
-        keys = np.unique(bits)
+        n = len(bits)
+        h = (n + 1) // 2
+        mirrored = np.array_equal(bits[h:], bits[:n - h][::-1])
+        upper = bits[:h] if mirrored else bits
+        keys = np.unique(upper)
         text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        rows = (", ".join(text[np.searchsorted(keys, row)].tolist()) for row in upper)
+        if mirrored:
+            rows = list(rows)
+            rows += rows[:n - h][::-1]
         with open(path, "w") as fh:
             fh.write(head[:-1] + ', "pixels": [')      # "pixels" sorts last
-            for i, row in enumerate(bits):
-                fh.write((", [" if i else "[")
-                         + ", ".join(text[np.searchsorted(keys, row)].tolist()) + "]")
+            for i, row in enumerate(rows):
+                fh.write((", [" if i else "[") + row + "]")
             fh.write("]}\n")
         return
     doc = {
@@ -149,15 +162,20 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
 
 
 def write_pgm(image: RasterImage, path) -> None:
-    """Write a 16-bit binary PGM plus a ``.meta.json`` sidecar."""
+    """Write a 16-bit binary PGM plus a ``.meta.json`` sidecar.
+
+    The samples are quantized and written in blocks of ``_PGM_ROWS`` rows,
+    so no image-sized temporary is made.
+    """
     peak = image.peak
-    # divide first: 65535/peak overflows to inf for a subnormal peak
-    quantized = np.rint(image.pixels / peak * 65535.0 if peak > 0.0
-                        else np.zeros_like(image.pixels)).astype(">u2")
-    h, w = quantized.shape
+    h, w = image.pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+        for i in range(0, h, _PGM_ROWS):
+            block = image.pixels[i:i + _PGM_ROWS]
+            # divide first: 65535/peak overflows to inf for a subnormal peak
+            fh.write(np.rint(block / peak * 65535.0 if peak > 0.0
+                             else np.zeros_like(block)).astype(">u2").tobytes())
     side = {
         "airybeam": __version__,
         "width": w,

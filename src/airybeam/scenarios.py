@@ -243,8 +243,11 @@ def detector_image(preset, half_width: float | None = None,
                    resolution: int = 512) -> RasterImage:
     """Square raster of j_z on the preset's detector plane (``preset.plane``).
 
-    Rotational symmetry about the field axis is exact, so the image is
-    computed on a dense 1-D radial grid and revolved.  ``half_width``
+    Rotational symmetry about the field axis is exact, so j_z is computed
+    radially, on a dense 1-D grid, and interpolated at each pixel's radius.
+    The pixel centers are exact negatives of each other across the middle,
+    so the raster is exactly symmetric under both flips: one quadrant is
+    interpolated, then mirrored into the other three.  ``half_width``
     defaults to just beyond the outermost classically allowed radius.
     """
     if resolution <= 0:
@@ -259,8 +262,16 @@ def detector_image(preset, half_width: float | None = None,
     centers = (np.arange(resolution) - (resolution - 1) / 2.0) * (
         2.0 * half_width / resolution
     )
-    RR = np.hypot(centers[:, None], centers[None, :])
-    img = np.interp(RR, r_grid, j_rad)
+    # centers[n-1-i] == -centers[i] exactly (a half-integer offset times
+    # one step) and hypot ignores signs: interpolate the upper-left h x h
+    # quadrant, the middle row and column included for odd n, and flip it
+    h, m = (resolution + 1) // 2, resolution // 2
+    c = centers[:h]
+    quad = np.interp(np.hypot(c[:, None], c[None, :]), r_grid, j_rad)
+    img = np.empty((resolution, resolution))
+    img[:h, :h] = quad
+    img[:h, h:] = quad[:, :m][:, ::-1]
+    img[h:] = img[:m][::-1]
     meta = {
         "energy_J": energy,
         "z_m": z,

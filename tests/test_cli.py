@@ -152,6 +152,19 @@ def test_pgm_zero_image_guard(tmp_path):
     assert side["normalization_peak"] == 0.0
 
 
+@pytest.mark.parametrize("height", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "transposed"])
+def test_pgm_body_equals_whole_image_quantization(tmp_path, height, transposed):
+    # row blocks of the writer against one quantization of the whole image
+    rng = np.random.default_rng(height)
+    p = rng.random((5, height)).T if transposed else rng.random((height, 5))
+    img = RasterImage(p, half_width=1e-3)
+    write_pgm(img, tmp_path / "img.pgm")
+    blob = (tmp_path / "img.pgm").read_bytes()
+    body = np.rint(p / img.peak * 65535).astype(">u2").tobytes()
+    assert blob == f"P5\n5 {height}\n65535\n".encode("ascii") + body
+
+
 def test_pgm_subnormal_peak(tmp_path):
     # 65535 / 5e-310 overflows: the peak pixel still reads full scale
     img = RasterImage(np.array([[0.0, 2.5e-310], [5e-310, 1e-320]]), half_width=1e-3)

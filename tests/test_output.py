@@ -41,9 +41,28 @@ def written(image, tmp_path):
     return path.read_text()
 
 
+def pool_arrays(rows):
+    return arrays(np.float64, st.tuples(rows, st.integers(1, 6)),
+                  elements=st.sampled_from(POOL))
+
+
+@st.composite
+def mirrored(draw):
+    """Arrays whose row n-1-i repeats row i, and near-mirrors that differ
+    from one only by a 0.0 <-> -0.0 swap in a lower row."""
+    upper = draw(pool_arrays(st.integers(1, 3)))
+    h = len(upper)
+    pixels = np.concatenate([upper, upper[:h - draw(st.integers(0, 1))][::-1]])
+    lower = pixels[h:].reshape(-1)          # a view: writes reach pixels
+    zeros = np.flatnonzero(lower == 0.0)
+    if zeros.size and draw(st.booleans()):
+        k = draw(st.sampled_from(zeros.tolist()))
+        lower[k] = -lower[k]
+    return pixels
+
+
 @PROPERTY
-@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
-              elements=st.sampled_from(POOL)))
+@given(st.one_of(pool_arrays(st.integers(1, 6)), mirrored()))
 def test_write_json_equals_json_dumps(tmp_path_factory, pixels):
     image = RasterImage(pixels, half_width=2.5e-4, meta={"z_m": 0.5, "tag": "x"})
     assert written(image, tmp_path_factory.mktemp("prop")) == reference(image)
@@ -52,7 +71,10 @@ def test_write_json_equals_json_dumps(tmp_path_factory, pixels):
 @pytest.mark.parametrize("pixels", [
     np.array([[0.0, -0.0], [-0.0, 0.0]]),
     (np.arange(12.0).reshape(3, 4) / 7.0).T,      # not C-contiguous
-], ids=["signed-zeros", "transposed"])
+    np.array([[0.0, 1.5], [0.0, 1.5]]),
+    np.array([[0.0, 1.5], [-0.0, 1.5]]),          # mirror but for one zero's sign
+    np.array([[1.5, -0.0], [7.0, 0.1], [1.5, 0.0]]),
+], ids=["signed-zeros", "transposed", "mirrored", "near-mirror-even", "near-mirror-odd"])
 def test_write_json_edge_arrays(tmp_path, pixels):
     image = RasterImage(pixels, half_width=1e-3)
     assert written(image, tmp_path) == reference(image)

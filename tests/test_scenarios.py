@@ -102,6 +102,23 @@ def test_detector_image_rotational_symmetry():
     assert_allclose(img.pixels, img.pixels[::-1, :], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("make", [o_minus, rb_atom_laser], ids=["o-minus", "rb-atom-laser"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+def test_detector_image_mirror_equals_direct_build(make, n):
+    # the mirrored quadrant against interpolation at all n^2 pixel centres
+    # on the same radial grid, bit for bit
+    preset = make()
+    img = detector_image(preset, resolution=n)
+    energy, z = preset.plane
+    half_width = img.half_width
+    r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, max(4 * n, 1024))
+    j_rad = np.clip(preset.current_density((r_grid, 0.0, z), energy), 0.0, None)
+    c = (np.arange(n) - (n - 1) / 2.0) * (2.0 * half_width / n)
+    direct = np.interp(np.hypot(c[:, None], c[None, :]), r_grid, j_rad)
+    assert img.pixels.shape == (n, n)
+    assert np.array_equal(img.pixels.view(np.uint64), direct.view(np.uint64))
+
+
 def test_detector_image_deep_tunneling_single_spot():
     img = detector_image(replace(o_minus(), energy=energy_from_ev(-120e-6)),
                          half_width=3e-4, resolution=128)
