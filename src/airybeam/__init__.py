@@ -16,8 +16,8 @@ from .scaling import (ELECTRON_MASS, G_EARTH, HBAR, RB87_MASS, PhysicalSystem,
                       force_from_ev_per_m, make_system)
 from .scenarios import (AtomLaserPreset, DepletionCurve, PhotodetachmentPreset,
                         TransitionCurves, atom_laser_depletion,
-                        beam_profile_family, current_transition_scan,
-                        detector_half_width, detector_image, grid,
+                        current_transition_scan, detector_half_width,
+                        detector_image, grid,
                         lateral_profile, o_minus, photodetachment_cross_section,
                         rb_atom_laser, s_minus, total_current_scan)
 from .sources import (GaussianScaled, GaussianSource, PointSource, SourceModel,

@@ -40,8 +40,10 @@ __all__ = [
     "TransitionCurves", "s_minus", "o_minus", "rb_atom_laser", "grid",
     "photodetachment_cross_section", "total_current_scan", "detector_image",
     "detector_half_width", "lateral_profile", "atom_laser_depletion",
-    "beam_profile_family", "current_transition_scan",
+    "current_transition_scan",
 ]
+
+_IMAGE_ROWS = 128   # quadrant rows interpolated per block in detector_image
 
 
 @dataclass(frozen=True)
@@ -246,9 +248,10 @@ def detector_image(preset, half_width: float | None = None,
     Rotational symmetry about the field axis is exact, so j_z is computed
     radially, on a dense 1-D grid, and interpolated at each pixel's radius.
     The pixel centers are exact negatives of each other across the middle,
-    so the raster is exactly symmetric under both flips: one quadrant is
-    interpolated, then mirrored into the other three.  ``half_width``
-    defaults to just beyond the outermost classically allowed radius.
+    so the raster is exactly symmetric under both flips: only its upper-left
+    quadrant is interpolated, in blocks of rows, and the image holds that
+    quadrant (``RasterImage.from_quadrant``).  ``half_width`` defaults to
+    just beyond the outermost classically allowed radius.
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
@@ -263,15 +266,13 @@ def detector_image(preset, half_width: float | None = None,
         2.0 * half_width / resolution
     )
     # centers[n-1-i] == -centers[i] exactly (a half-integer offset times
-    # one step) and hypot ignores signs: interpolate the upper-left h x h
-    # quadrant, the middle row and column included for odd n, and flip it
-    h, m = (resolution + 1) // 2, resolution // 2
-    c = centers[:h]
-    quad = np.interp(np.hypot(c[:, None], c[None, :]), r_grid, j_rad)
-    img = np.empty((resolution, resolution))
-    img[:h, :h] = quad
-    img[:h, h:] = quad[:, :m][:, ::-1]
-    img[h:] = img[:m][::-1]
+    # one step) and hypot ignores signs: the upper-left h x h quadrant, the
+    # middle row and column included for odd n, is the whole image
+    c = centers[:(resolution + 1) // 2]
+    quad = np.empty((len(c), len(c)))
+    for i in range(0, len(c), _IMAGE_ROWS):
+        quad[i:i + _IMAGE_ROWS] = np.interp(
+            np.hypot(c[i:i + _IMAGE_ROWS, None], c[None, :]), r_grid, j_rad)
     meta = {
         "energy_J": energy,
         "z_m": z,
@@ -279,7 +280,7 @@ def detector_image(preset, half_width: float | None = None,
         "resolution": resolution,
         "beta": sys.beta,
     }
-    return RasterImage(img, half_width, meta=meta)
+    return RasterImage.from_quadrant(quad, resolution, half_width, meta)
 
 
 def lateral_profile(preset, half_width: float | None, n: int) -> ScanResult:
@@ -318,13 +319,6 @@ def atom_laser_depletion(preset: AtomLaserPreset, detunings) -> DepletionCurve:
             "beta": preset.system.beta, "alpha": preset.system.beta_f * preset.width,
             "operation_time_s": preset.operation_time, "atom_count": preset.atom_count}
     return DepletionCurve(detunings, frac, j, meta=meta)
-
-
-def beam_profile_family(preset: AtomLaserPreset, widths,
-                        half_width: float = 120e-6, n: int = 1201) -> list[ScanResult]:
-    """``lateral_profile`` of the preset at each source width in ``widths``."""
-    return [lateral_profile(replace(preset, width=float(a)), half_width, n)
-            for a in widths]
 
 
 def current_transition_scan(

@@ -11,8 +11,8 @@ import numpy as np
 from airybeam.airy import X_MAX, airy_all
 from airybeam.cli import main
 from airybeam.scaling import make_system
-from airybeam.scenarios import (beam_profile_family, current_transition_scan,
-                                o_minus, rb_atom_laser)
+from airybeam.scenarios import (current_transition_scan, lateral_profile, o_minus,
+                                rb_atom_laser)
 from airybeam.sources import (GaussianSource, PointSource,
                               current_density_gauss, current_density_point,
                               equivalent_point_strength, gaussian_scaled,
@@ -130,7 +130,8 @@ def test_transition_reproduction(rb_system):
 def test_ring_count_monotonicity(rb_system):
     preset = dataclasses.replace(rb_atom_laser(), coupling=2 * math.pi * 100.0)
     widths = [0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]
-    profiles = beam_profile_family(preset, widths)
+    profiles = [lateral_profile(dataclasses.replace(preset, width=a), 120e-6, 1201)
+                for a in widths]
     counts = [count_local_maxima(p.values) for p in profiles]
     ok = all(a >= b for a, b in zip(counts, counts[1:]))
     ok &= counts[2] == 1 and counts[3] == 1

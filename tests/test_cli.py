@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from airybeam import cli, validation
 from airybeam.cli import main
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
-from airybeam.scenarios import beam_profile_family, detector_image, o_minus, rb_atom_laser
+from airybeam.scenarios import detector_image, lateral_profile, o_minus, rb_atom_laser
 
 
 def read_csv(path):
@@ -121,6 +122,26 @@ def test_no_scipy_module_loads(tmp_path):
         run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, (argv, run.returncode, run.stderr)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, as Linux reports it")
+def test_detector_image_2048_peak_rss(tmp_path):
+    # a launcher importing only os runs the CLI: a child inherits the
+    # high-water RSS of the process that forks it, and pytest's is large.
+    # The raster is held as one 1024 x 1024 quadrant, never as 2048 x 2048
+    env = dict(os.environ, PYTHONPATH=str(Path(airybeam.__file__).parents[1]))
+    launcher = ("import os, sys\n"
+                "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],"
+                " os.environ)\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    argv = ["-m", "airybeam.cli", "detector-image", "--preset", "o-minus",
+            "--n", "2048", "-o", str(tmp_path / "o.pgm")]
+    run = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, run.stdout.splitlines()[-1].split())
+    assert code == 0, run.stderr
+    assert maxrss_kib / 1024.0 < 60.0
 
 
 def test_detector_image_pgm(tmp_path):
@@ -598,8 +619,8 @@ def test_beam_profile_family_is_density_profile(tmp_path):
     xs, ys, meta = read_csv(out)
     preset = rb_atom_laser()
     assert float(meta["z_m"]) == preset.detector_z
-    (profile,) = beam_profile_family(preset, [float(meta["width_m"])],
-                                     half_width=float(meta["half_width_m"]), n=41)
+    profile = lateral_profile(dataclasses.replace(preset, width=float(meta["width_m"])),
+                              float(meta["half_width_m"]), 41)
     assert np.array_equal(profile.abscissa, xs)
     assert np.array_equal(profile.values, ys)
 

@@ -1,9 +1,12 @@
-"""The detector-image JSON writer against ``json.dumps`` of the whole document,
+"""The detector-image writers against plain encodings of the whole raster,
 and the finiteness checks of the result types.
 
-``write_json`` formats each distinct pixel value of a ``RasterImage`` once;
-these tests hold its bytes to the plain encoding of
-``{"half_width_m", "meta", "pixels": rows}``, the package version in ``meta``.
+A ``RasterImage`` stores a whole raster or the upper-left quadrant of a
+raster symmetric under both flips, and the writers unfold the quadrant only
+as the bytes are written.  ``write_json`` formats each distinct pixel value
+once; these tests hold its bytes to the plain encoding of
+``{"half_width_m", "meta", "pixels": rows}``, the package version in
+``meta``, and ``write_pgm``'s to the quantization of the whole raster at once.
 """
 
 import json
@@ -16,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from airybeam import __version__
 from airybeam.errors import DomainError
-from airybeam.output import RasterImage, ScanResult, write_csv, write_json
+from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
 from airybeam.scenarios import detector_image, o_minus, rb_atom_laser
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -41,6 +44,25 @@ def written(image, tmp_path):
     return path.read_text()
 
 
+def pgm_reference(image):
+    """The PGM and sidecar bytes from quantizing the whole raster at once."""
+    pixels = image.pixels
+    h, w = pixels.shape
+    peak = float(pixels.max()) + 0.0          # a zero peak is written as 0.0
+    samples = np.rint(pixels / peak * 65535.0) if peak > 0.0 else np.zeros_like(pixels)
+    side = {"airybeam": __version__, "width": w, "height": h,
+            "half_width_m": image.half_width, "pixel_size_m": 2.0 * image.half_width / w,
+            "normalization_peak": peak, "meta": image.meta}
+    return (f"P5\n{w} {h}\n65535\n".encode("ascii") + samples.astype(">u2").tobytes(),
+            json.dumps(side, sort_keys=True, indent=1).encode("ascii") + b"\n")
+
+
+def pgm_written(image, tmp_path):
+    path = tmp_path / "img.pgm"
+    write_pgm(image, path)
+    return path.read_bytes(), (tmp_path / "img.pgm.meta.json").read_bytes()
+
+
 def pool_arrays(rows):
     return arrays(np.float64, st.tuples(rows, st.integers(1, 6)),
                   elements=st.sampled_from(POOL))
@@ -59,6 +81,24 @@ def mirrored(draw):
         k = draw(st.sampled_from(zeros.tolist()))
         lower[k] = -lower[k]
     return pixels
+
+
+@st.composite
+def quadrant_images(draw):
+    """Rasters of side n stored as their ceil(n/2) x ceil(n/2) quadrant, n of
+    either parity, the quadrant's values drawn from ``POOL``."""
+    n = draw(st.integers(1, 9))
+    h = (n + 1) // 2
+    quadrant = draw(arrays(np.float64, (h, h), elements=st.sampled_from(POOL)))
+    return RasterImage.from_quadrant(quadrant, n, 2.5e-4, {"z_m": 0.5, "tag": "x"})
+
+
+@PROPERTY
+@given(quadrant_images())
+def test_quadrant_image_writers_equal_whole_raster_encodings(tmp_path_factory, image):
+    tmp_path = tmp_path_factory.mktemp("quad")
+    assert written(image, tmp_path) == reference(image)
+    assert pgm_written(image, tmp_path) == pgm_reference(image)
 
 
 @PROPERTY
@@ -88,10 +128,30 @@ def test_write_json_detector_images(tmp_path, preset, n):
     assert written(image, tmp_path) == reference(image)
 
 
+@pytest.mark.parametrize("preset", [rb_atom_laser, o_minus],
+                         ids=["rb-atom-laser", "o-minus"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 63, 64])
+def test_quadrant_image_writes_bytes_of_assembled_raster(tmp_path, preset, n):
+    image = detector_image(preset(), resolution=n)
+    assert image.block.shape == ((n + 1) // 2,) * 2 and image.shape == (n, n)
+    whole = RasterImage(image.pixels, image.half_width, image.meta)
+    assert whole.block.shape == (n, n)
+    assert pgm_written(image, tmp_path) == pgm_written(whole, tmp_path)
+    assert written(image, tmp_path) == written(whole, tmp_path)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -1.0])
 def test_raster_rejects_non_finite_or_negative(bad):
     with pytest.raises(DomainError, match="finite and >= 0"):
         RasterImage(np.array([[1.0, bad]]), half_width=1.0)
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        RasterImage.from_quadrant(np.array([[1.0, bad], [0.0, 2.0]]), 4, half_width=1.0)
+
+
+@pytest.mark.parametrize("n, shape", [(4, (1, 1)), (3, (1, 2)), (0, (0, 0))])
+def test_quadrant_shape_must_match_side(n, shape):
+    with pytest.raises(DomainError, match="quadrant"):
+        RasterImage.from_quadrant(np.ones(shape), n, half_width=1.0)
 
 
 

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 from airybeam.errors import DomainError
 from airybeam.scaling import (HBAR, energy_from_ev, energy_from_frequency)
-from airybeam.scenarios import (atom_laser_depletion, beam_profile_family,
+from airybeam.scenarios import (atom_laser_depletion,
                                 current_transition_scan, detector_image,
-                                o_minus, photodetachment_cross_section,
-                                rb_atom_laser, s_minus)
+                                lateral_profile, o_minus,
+                                photodetachment_cross_section, rb_atom_laser,
+                                s_minus)
 from airybeam.sources import (current_density_gauss, current_density_point,
                               total_current_gauss, total_current_point)
 from airybeam.validation import flux
@@ -223,7 +224,8 @@ def test_beam_profile_ring_counts():
     preset = rb_atom_laser()
     import dataclasses
     preset = dataclasses.replace(preset, coupling=2 * math.pi * 100.0)
-    profiles = beam_profile_family(preset, [0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6])
+    profiles = [lateral_profile(dataclasses.replace(preset, width=a), 120e-6, 1201)
+                for a in [0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]]
     counts = [count_local_maxima(p.values) for p in profiles]
     assert counts[0] >= 2 and counts[1] >= 2
     assert counts[2] == 1 and counts[3] == 1
@@ -232,7 +234,7 @@ def test_beam_profile_ring_counts():
 
 def test_beam_profiles_even_in_lateral_coordinate():
     preset = rb_atom_laser()
-    (profile,) = beam_profile_family(preset, [0.4e-6], n=401)
+    profile = lateral_profile(replace(preset, width=0.4e-6), 120e-6, 401)
     assert_allclose(profile.values, profile.values[::-1], rtol=1e-9)
 
 
