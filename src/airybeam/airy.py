@@ -35,8 +35,8 @@ dozen NumPy calls however many terms it needs, and memory stays bounded
 for any number of points.
 
 Arguments above X_MAX raise RangeError in ``airy_all`` (Bi overflows
-there), and arguments from X_SCALED_MAX up raise it in ``airy_scaled``; a
-NaN anywhere in the input raises DomainError.
+there), and every function raises it where 2/3 |x|^(3/2) leaves double
+range; a NaN anywhere in the input raises DomainError.
 """
 
 from __future__ import annotations
@@ -65,10 +65,11 @@ X_MAX = 100.0          # beyond this exp(zeta) in Bi nears double overflow
 X_SWITCH = 9.0         # Taylor / oscillatory-asymptotic handover at -X_SWITCH
 _SCALED = 8.0          # exponent-scaled values and the bracket series above this
 X_SCALED_MAX = 2.0**20
-"""``airy_scaled`` raises RangeError from here up.  The exponent
-s = 2/3 x^(3/2) is about 7e8 at 2^20 and its ulp near 1e-7, so exponent
-differences that callers form in log space (s_+ - s_- in a Green function)
-would lose more digits than any accuracy budget of the package allows."""
+"""Callers that subtract exponents raise RangeError from here up.  The
+exponent s = 2/3 x^(3/2) is about 7e8 at 2^20 and its ulp near 1e-7, so a
+difference s_+ - s_- formed in log space (a Green function) would lose more
+digits than any accuracy budget of the package allows."""
+_S_FINITE_MAX = float(np.finfo(float).max) ** (2.0 / 3.0)  # 2/3 |x|^1.5 finite
 
 
 def _series_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +227,13 @@ class ComplexAiryPair:
 
 
 def _argument(x, name: str) -> np.ndarray:
-    """x as a float array; DomainError if any element is NaN."""
+    """x as a float array; DomainError on NaN, RangeError where 2/3 |x|^1.5 overflows."""
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError(f"{name}: argument is NaN")
+    if np.any(np.abs(x) > _S_FINITE_MAX):
+        raise RangeError(f"{name}: 2/3 |x|^1.5 leaves double range above |x| = "
+                         f"{_S_FINITE_MAX:.3g}, got x from {x.min()} to {x.max()}")
     return x
 
 
@@ -339,14 +343,11 @@ def airy_scaled(x):
     s = 2/3 x^(3/2); at and below it they are the Taylor or oscillatory
     values with s = 0.  ``airy_all`` is these values times their exponents,
     so both hand over at _SCALED.  Never overflows, which the current
-    formulas rely on deep in the tunneling regime.  RangeError from
-    X_SCALED_MAX up, naming the largest x; DomainError on NaN.
+    formulas rely on deep in the tunneling regime.  RangeError where
+    2/3 |x|^(3/2) leaves double range (|x| > 3.2e205); DomainError on NaN.
     """
     x = _argument(x, "airy_scaled")
     flat = x.ravel()
-    if np.any(flat >= X_SCALED_MAX):
-        raise RangeError(f"airy_scaled: x must stay below X_SCALED_MAX = 2^20, got "
-                         f"values up to {flat.max()}")
     osc, scaled = flat <= -X_SWITCH, flat > _SCALED
     out = _piecewise(flat, ((osc, _unscaled(_oscillatory)),
                             (~osc & ~scaled, _unscaled(_taylor)),

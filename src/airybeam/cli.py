@@ -315,7 +315,8 @@ def _cmd_transition(args, preset) -> int:
 # the suites ``validate --suite`` names, each a function returning its Checks
 _SUITES = {"sum-rule": lambda: validation.sum_rule(rb_atom_laser()),
            "oracle": lambda: [validation.oracle_agreement(20)],
-           "flux": lambda: validation.flux(o_minus(), (0.35, 0.514))}
+           "flux": lambda: (validation.flux(o_minus(), (0.35, 0.514))
+                            + validation.flux(rb_atom_laser(), (0.7e-3, 1.0e-3)))}
 
 
 def _cmd_validate(args, _preset) -> int:

@@ -33,7 +33,7 @@ from . import airy
 # stay bound because perfbench/tracing.py wraps them by name, and its
 # per-call counter needs a scalar argument.
 from .airy import airy_all, airy_scaled  # noqa: F401
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 # bound as ``quad`` so that instrumentation can wrap it (perfbench/tracing.py)
 from .quadrature import gauss_kronrod as quad
 from .scaling import PhysicalSystem
@@ -81,8 +81,9 @@ def _relative_args(sys: PhysicalSystem, r, r_src, energy):
     return np.broadcast_arrays(rho_d, zsum, sys.scale_energy(energy))
 
 
-def _bracket_scaled(ap, am) -> tuple[np.ndarray, np.ndarray]:
-    """Ci(ap) Ai'(am) - Ci'(ap) Ai(am) as (mantissa, log_scale) arrays.
+def _bracket_scaled(ap, am) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ci(ap) Ai'(am) - Ci'(ap) Ai(am) as (mantissa, s_p, s_m) arrays, the
+    bracket being mantissa * exp(s_p - s_m).
 
     ``ap <= am`` elementwise, both of one shape.  The Airy factors come
     exponentially scaled from ``airy.airy_scaled``, so the product with the
@@ -98,20 +99,24 @@ def _bracket_scaled(ap, am) -> tuple[np.ndarray, np.ndarray]:
     ci_s = pb_s + 1j * (pa_s * damp)
     cip_s = pbp_s + 1j * (pap_s * damp)
     mant = ci_s * map_s - cip_s * ma_s
-    return mant.reshape(shape), (sp - sm).reshape(shape)
+    return mant.reshape(shape), sp.reshape(shape), sm.reshape(shape)
 
 
 def green_closed(sys: PhysicalSystem, r, r_src, energy) -> GreenValue:
-    """Closed Airy form of the retarded Green function (production path)."""
+    """Closed Airy form of the retarded Green function (production path);
+    RangeError from a- = ``airy.X_SCALED_MAX`` up."""
     rho_d, zsum, eps = _relative_args(sys, r, r_src, energy)
     if np.any(rho_d == 0.0):
         raise DomainError(
             "green_closed: coincident points; the diagonal limit is "
             "total_current_point"
         )
-    mant, log_scale = _bracket_scaled(eps - zsum - rho_d, eps - zsum + rho_d)
+    am = eps - zsum + rho_d
+    if np.any(am >= airy.X_SCALED_MAX):
+        raise RangeError(f"green_closed: a- must stay below X_SCALED_MAX = 2^20, got {am.max()}")
+    mant, sp, sm = _bracket_scaled(eps - zsum - rho_d, am)
     si = sys.beta * sys.beta_f**3
-    return GreenValue(mantissa=(2.0 / rho_d * mant)[()], log_scale=log_scale[()],
+    return GreenValue(mantissa=(2.0 / rho_d * mant)[()], log_scale=(sp - sm)[()],
                       si_factor=si)
 
 

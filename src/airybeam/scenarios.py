@@ -230,12 +230,16 @@ def total_current_scan(preset, abscissa) -> ScanResult:
                       "nu_Hz", "current_per_s", meta)
 
 
-def detector_half_width(sys: PhysicalSystem, energy: float, z: float,
-                        half_width: float | None) -> float:
+def detector_half_width(preset, half_width: float | None) -> float:
     """``half_width`` (m), or for None just beyond the outermost classically
-    allowed radius; DomainError unless it is finite and > 0."""
+    allowed radius, and for a Gaussian source at least sqrt(15 zeta~)/alpha,
+    where 4 alpha^2 delta = 30; DomainError unless it is finite and > 0."""
     if half_width is None:
+        (energy, z), sys = preset.plane, preset.system
         half_width = 1.15 * _classical_radius(sys, energy, z) + 2.0 / sys.beta_f
+        if isinstance(preset, AtomLaserPreset):
+            g = gaussian_scaled(sys, preset.source, energy, (0.0, 0.0, z))
+            half_width = max(half_width, math.sqrt(15.0 * g.zeta_tilde) / g.alpha / sys.beta_f)
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise DomainError(f"half_width must be finite and > 0, got {half_width}")
     return half_width
@@ -251,13 +255,13 @@ def detector_image(preset, half_width: float | None = None,
     so the raster is exactly symmetric under both flips: only its upper-left
     quadrant is interpolated, in blocks of rows, and the image holds that
     quadrant (``RasterImage.from_quadrant``).  ``half_width`` defaults to
-    just beyond the outermost classically allowed radius.
+    that of ``detector_half_width``.
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
     energy, z = preset.plane
     sys = preset.system
-    half_width = detector_half_width(sys, energy, z, half_width)
+    half_width = detector_half_width(preset, half_width)
     n_rad = max(4 * resolution, 1024)
     r_grid = np.linspace(0.0, half_width * math.sqrt(2.0) * 1.0001, n_rad)
     # clip FP noise at ring nulls
@@ -288,7 +292,7 @@ def lateral_profile(preset, half_width: float | None, n: int) -> ScanResult:
     [-half_width, half_width]; None is the ``detector_image`` default."""
     energy, z = preset.plane
     sys = preset.system
-    half_width = detector_half_width(sys, energy, z, half_width)
+    half_width = detector_half_width(preset, half_width)
     xs = grid(-half_width, half_width, n)
     if isinstance(preset, AtomLaserPreset):
         g = gaussian_scaled(sys, preset.source, energy)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import airy
-# Unused here: the Airy layer is called through the ``airy`` module.  These
-# names stay bound because perfbench/tracing.py wraps them by name, and its
+# Unused here, and ``airy_bracket_log`` has no runtime caller: these names
+# stay bound because perfbench/tracing.py wraps them by name, and its
 # per-call counter needs a scalar argument.
 from .airy import airy_all, airy_bracket_log, airy_scaled  # noqa: F401
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
@@ -160,16 +160,8 @@ def gaussian_scaled(
     if not alpha <= _ALPHA_MAX:
         raise RangeError(f"gaussian_scaled: alpha = beta F a = {alpha:.3g} is beyond "
                          f"{_ALPHA_MAX:.3g}, out of double range")
-    hbar_omega = sys.hbar * src.coupling
-    if not hbar_omega > 0.0:
-        raise RangeError(f"gaussian_scaled: hbar Omega underflows to 0 at "
-                         f"Omega = {src.coupling:g} rad/s")
     eps_t = _scaled_energy("gaussian_scaled", sys, energy) + 4.0 * alpha**4
-    log_w = (
-        math.log(hbar_omega)
-        + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
-        + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
-    )
+    log_w = _log_strength(sys, src) + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
     if r is None:
         return GaussianScaled(alpha, eps_t[()], log_w[()])
     p = sys.scale_point(r)
@@ -178,6 +170,34 @@ def gaussian_scaled(
     rt = np.sqrt(p.xi**2 + p.nu_y**2 + zt**2)
     return GaussianScaled(alpha, eps_t[()], log_w[()], zeta_tilde=zt[()],
                           rho_tilde=rt[()])
+
+
+def _log_strength(sys: PhysicalSystem, src: GaussianSource) -> float:
+    """ln hbar*Omega*(2 sqrt(pi) a)^(3/2), Lambda without its exponential."""
+    hbar_omega = sys.hbar * src.coupling
+    if not hbar_omega > 0.0:
+        raise RangeError(f"gaussian_scaled: hbar Omega underflows to 0 at "
+                         f"Omega = {src.coupling:g} rad/s")
+    return math.log(hbar_omega) + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
+
+
+def _gauss_exponent(alpha: float, eps, delta, s) -> np.ndarray:
+    """4 alpha^2 (eps~ - 4 alpha^4/3) - 2 s of |Lambda|^2 Ai(a-)^2, s the Airy
+    exponent at a- = eps~ + delta (eps unshifted), flat arrays.  Where
+    s = 2/3 u^3 > 0, u = sqrt(a-), its two terms of size alpha^6 cancel, and
+    it is formed from eps + delta as
+    -(eps + delta)^2 (2 + t)/((1 + t)(3 alpha^2 + 1.5 u)) - 4 alpha^2 delta,
+    t = 2 alpha^2/u: the point source's -4/3 (eps + delta)^(3/2) as t -> 0.
+    J is delta = 0, and psi_far takes half of it."""
+    a2 = alpha**2
+    eps_t = eps + 4.0 * alpha**4
+    out = 4.0 * a2 * (eps_t - 4.0 * alpha**4 / 3.0) - 2.0 * s
+    far = s > 0.0
+    root = np.sqrt(eps_t[far] + delta[far])
+    t = 2.0 * a2 / root
+    out[far] = (-(eps[far] + delta[far])**2 * (2.0 + t) / ((1.0 + t) * (3.0 * a2 + 1.5 * root))
+                - 4.0 * a2 * delta[far])
+    return out
 
 
 def source_amplitude(sys: PhysicalSystem, src: SourceModel, r) -> float:
@@ -211,16 +231,20 @@ def psi_point(sys: PhysicalSystem, src: PointSource, r, energy):
     return (src.strength * green_closed(sys, r, (0.0, 0.0, 0.0), energy).value)[()]
 
 
-def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
-    """Dimensionless current-density shape as (mantissa, log_scale), flat arrays.
+def _airy_offset(lateral, rho, zeta) -> np.ndarray:
+    """delta = rho - zeta of a- = eps + delta, flat arrays; downstream as lateral/(rho + zeta):
+    a distant detector's rho - zeta would lose digits where Ai(a-) has its nulls."""
+    delta = rho - zeta
+    down = zeta > 0.0
+    delta[down] = lateral[down] / (rho[down] + zeta[down])
+    return delta
 
-    (1/rho^3) * { zeta Ai'(am)^2 + [zeta(zeta - eps) + rho^2] Ai(am)^2 }
-    with am = eps - zeta + rho; the Airy factors come exponentially scaled
-    from ``airy.airy_scaled``.  Downstream (zeta > 0) am is formed as
-    eps + (xi^2 + nu^2)/(rho + zeta): at a distant detector zeta and rho
-    agree to many digits, and their difference would lose them exactly where
-    Ai(am) has its ring nulls.
-    """
+
+def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dimensionless current-density shape as (mantissa, s, delta), flat arrays:
+    (1/rho^3) * { zeta Ai'(am)^2 + [zeta(zeta - eps) + rho^2] Ai(am)^2 } =
+    mantissa * exp(-2 s) with am = eps + delta (``_airy_offset``), the Airy
+    factors exponentially scaled from ``airy.airy_scaled``."""
     _require_scaled_distance("current density", xi, nu, zeta)
     lateral = xi * xi + nu * nu
     rho = np.sqrt(lateral + zeta * zeta)
@@ -230,12 +254,10 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray]:
         raise RangeError(f"current density: scaled distance {rho.min():.3g} from the "
                          f"source is below {1.0 / _SCALED_DISTANCE_MAX:.0e}, where "
                          "rho^3 leaves double range")
-    am = eps - zeta + rho
-    down = zeta > 0.0
-    am[down] = eps[down] + lateral[down] / (rho[down] + zeta[down])
+    delta = _airy_offset(lateral, rho, zeta)
     coef = zeta * (zeta - eps) + rho * rho
-    ai_s, aip_s, _, _, s = airy.airy_scaled(am)
-    return (zeta * aip_s**2 + coef * ai_s**2) / rho**3, -2.0 * s
+    ai_s, aip_s, _, _, s = airy.airy_scaled(eps + delta)
+    return (zeta * aip_s**2 + coef * ai_s**2) / rho**3, s, delta
 
 
 def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
@@ -243,11 +265,11 @@ def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     p = sys.scale_point(r)
     shape, flat = _flat(p.xi, p.nu_y, p.zeta,
                         _scaled_energy("current_density_point", sys, energy))
-    mant, log_scale = _jz_shape(*flat)
+    mant, s, _ = _jz_shape(*flat)
     pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
         2.0 * math.pi * sys.hbar**3
     )
-    return (pref * mant * np.exp(log_scale)).reshape(shape)[()]
+    return (pref * mant * np.exp(-2.0 * s)).reshape(shape)[()]
 
 
 def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
@@ -257,8 +279,8 @@ def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     entire in E and simply decays.
     """
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
-    eps = _scaled_energy("total_current_point", sys, energy)
-    return pref * np.exp(airy.airy_bracket_log(eps))
+    m, s = airy.airy_bracket_scaled(_scaled_energy("total_current_point", sys, energy))
+    return pref * np.exp(m - 2.0 * s)
 
 
 # ----------------------------------------------------------------------------
@@ -288,16 +310,23 @@ def psi_gauss_far(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """Far-field wave: a virtual point source shifted upstream by 2 alpha^4.
 
     Exact consequence of the Gaussian r' integration; only the near-field
-    (purely real) part is missing.
+    (purely real) part is missing.  a+ = eps~ - 2 zeta~ - delta is formed as
+    eps - 2 zeta - delta; RangeError from a+ = ``airy.X_SCALED_MAX`` up.
     """
     g = gaussian_scaled(sys, src, energy, r)
     _require_far_field(g, "psi_gauss_far")
-    ap = g.epsilon_tilde - g.zeta_tilde - g.rho_tilde
-    am = g.epsilon_tilde - g.zeta_tilde + g.rho_tilde
-    mant, log_scale = _bracket_scaled(ap, am)
-    log_si = math.log(sys.beta * sys.beta_f**3)
-    return _times_exp("psi_gauss_far", (2.0 / g.rho_tilde) * mant,
-                      g.log_weight + log_si + log_scale)[()]
+    p = sys.scale_point(r)
+    shape, (lateral, zeta, zt, rt, eps_t, eps) = _flat(
+        p.xi * p.xi + p.nu_y * p.nu_y, p.zeta, g.zeta_tilde, g.rho_tilde,
+        g.epsilon_tilde, sys.scale_energy(energy))
+    delta = _airy_offset(lateral, rt, zt)
+    ap = eps - 2.0 * zeta - delta
+    if np.any(ap >= airy.X_SCALED_MAX):
+        raise RangeError(f"psi_gauss_far: a+ must stay below X_SCALED_MAX = 2^20, got {ap.max()}")
+    mant, sp, sm = _bracket_scaled(ap, eps_t + delta)
+    exponent = (_log_strength(sys, src) + math.log(sys.beta * sys.beta_f**3)
+                + 0.5 * _gauss_exponent(g.alpha, eps, delta, sm) + sp)
+    return _times_exp("psi_gauss_far", (2.0 / rt) * mant, exponent).reshape(shape)[()]
 
 
 def psi_gauss_near(sys: PhysicalSystem, src: GaussianSource, r, energy):
@@ -355,15 +384,14 @@ def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
     g = gaussian_scaled(sys, src, energy, r)
     _require_far_field(g, "current_density_gauss")
     p = sys.scale_point(r)
-    shape, flat = _flat(p.xi, p.nu_y, g.zeta_tilde, g.epsilon_tilde, g.log_weight)
-    mant, log_scale = _jz_shape(*flat[:4])
-    # |Lambda|^2 m (beta F)^3 / (2 pi hbar^3), assembled in log space
-    log_pref = (
-        2.0 * flat[4]
-        + math.log(sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3))
-    )
+    shape, (xi, nu, zt, eps_t, eps) = _flat(p.xi, p.nu_y, g.zeta_tilde, g.epsilon_tilde,
+                                            sys.scale_energy(energy))
+    mant, s, delta = _jz_shape(xi, nu, zt, eps_t)
+    # |Lambda|^2 e^(-2 s) m (beta F)^3 / (2 pi hbar^3), assembled in log space
+    log_pref = (2.0 * _log_strength(sys, src)
+                + math.log(sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3)))
     return _times_exp("current_density_gauss", mant,
-                      log_pref + log_scale).reshape(shape)[()]
+                      log_pref + _gauss_exponent(g.alpha, eps, delta, s)).reshape(shape)[()]
 
 
 def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
@@ -375,13 +403,7 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
     The sign of the second bracket term follows eps = -2 beta E: it is the
     point formula's +2 beta E Ai^2 term in shifted variables.  Exact (not
     far-field): the near-field wave is real and drops out of the current.
-
-    Above the bracket's series handover its log is m - 2 s with
-    s = 2/3 eps~^(3/2).  The weight's exponent and -2 s are each of size
-    alpha^6 and cancel; their sum is formed without the cancellation, from
-    eps = -2 beta E itself, as
-    -eps^2 (2 + t)/((1 + t)(3 alpha^2 + 1.5 sqrt(eps~))), t = 2 alpha^2/sqrt(eps~),
-    which tends to the point source's -4/3 eps^(3/2) as t -> 0.
+    The exponent and the bracket's -2 s come from ``_gauss_exponent``.
     """
     g = gaussian_scaled(sys, src, energy)
     log_pref = (
@@ -393,12 +415,7 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
     )
     shape, (eps, eps_t) = _flat(sys.scale_energy(energy), g.epsilon_tilde)
     m, s = airy.airy_bracket_scaled(eps_t)
-    a2 = g.alpha**2
-    tail = 4.0 * a2 * (eps_t - 4.0 * g.alpha**4 / 3.0) + m
-    far = s > 0.0
-    root = np.sqrt(eps_t[far])
-    t = 2.0 * a2 / root
-    tail[far] = m[far] - eps[far]**2 * (2.0 + t) / ((1.0 + t) * (3.0 * a2 + 1.5 * root))
+    tail = m + _gauss_exponent(g.alpha, eps, np.zeros_like(eps), s)
     return _times_exp("total_current_gauss", 1.0, log_pref + tail).reshape(shape)[()]
 
 

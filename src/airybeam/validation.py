@@ -83,7 +83,8 @@ def oracle_agreement(n: int, seed: int = 20240501) -> Check:
 
 def flux(preset, planes) -> list[Check]:
     """Flux of j_z through each plane z (m) / J, at the preset's image energy;
-    the radial integral stops where the (virtual) source's Airy argument is 12."""
+    the radial integral stops where the (virtual) source's Airy argument
+    a- = eps + delta has a-^1.5 = 12^1.5 + max(eps, 0)^1.5, at any eps~."""
     sys = preset.system
     energy, _ = preset.plane
     j_total = preset.total_current(energy)
@@ -94,7 +95,8 @@ def flux(preset, planes) -> list[Check]:
             eps, zeta = g.epsilon_tilde, g.zeta_tilde
         else:
             eps, zeta = sys.scale_energy(energy), sys.beta_f * z
-        r_max = math.sqrt((12.0 - eps + zeta) ** 2 - zeta**2) / sys.beta_f
+        d = 12.0 - eps if eps <= 0.0 else (12.0**1.5 + eps**1.5) ** (2.0 / 3.0) - eps
+        r_max = math.sqrt(d * (2.0 * zeta + d)) / sys.beta_f
         total, _ = gauss_kronrod(
             lambda R: preset.current_density((R, 0.0, z), energy) * 2.0 * math.pi * R,
             0.0, r_max, limit=2000, epsrel=1e-10)

@@ -86,9 +86,12 @@ def test_algebraic_identity(unit_system):
 def test_flux_conservation():
     atom_laser = dataclasses.replace(rb_atom_laser(), width=0.4e-6,
                                      coupling=2 * math.pi * 100.0)
-    _report_checks("flux conservation (O- and a = 0.4 um, two planes each)",
+    # the preset's 2.8 um and a wide 50 um condensate (eps~ ~ 2e8)
+    wide = [dataclasses.replace(rb_atom_laser(), width=a) for a in (2.8e-6, 50e-6)]
+    _report_checks("flux conservation (O- and a = 0.4, 2.8, 50 um, two planes each)",
                    flux(o_minus(), (0.35, 0.514))
-                   + flux(atom_laser, (0.7e-3, 1.0e-3)))
+                   + flux(atom_laser, (0.7e-3, 1.0e-3))
+                   + [c for p in wide for c in flux(p, (0.7e-3, 1.0e-3))])
 
 
 def test_wigner_law(unit_system):

@@ -1,7 +1,9 @@
 import math
 import runpy
+import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from scipy.special import airy as scipy_airy
 
 from airybeam import airy
 from airybeam.airy import (X_MAX, X_SWITCH, _bracket_series, _oscillatory, _taylor,
-                           airy_all, airy_bracket_log, airy_scaled)
+                           airy_all, airy_bracket_log, airy_bracket_scaled, airy_scaled)
 from airybeam.errors import DomainError, RangeError
+from airybeam.green import green_closed
 
 from airy_reference import PANEL
 from oracles import mp_airy_maclaurin
@@ -138,12 +141,33 @@ def test_range_error_above_cap():
     airy_all(X_MAX)               # the cap itself is fine
 
 
-@pytest.mark.parametrize("x", [2.0**20, np.array([1.0, 2.0**20, 20.0])],
-                         ids=["scalar", "array"])
-def test_scaled_rejects_non_finite_airye(x):
-    # X_SCALED_MAX = 2^20: exponents there have an ulp near 1e-7
-    with pytest.raises(RangeError, match=f"airy_scaled: .* up to {2.0**20}"):
-        airy_scaled(x)
+@pytest.mark.parametrize("x", [2.0**20, 1e8], ids=["cap", "1e8"])
+def test_scaled_total_beyond_subtraction_cap(unit_system, x):
+    # X_SCALED_MAX = 2^20 guards only callers that subtract two exponents,
+    # whose ulp is near 1e-7 there; airy_scaled itself stays exact
+    *got, s = airy_scaled(np.array([1.0, x, 20.0]))
+    assert s[1] == 2.0 / 3.0 * x**1.5
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        up = mp.exp(2 * xm**1.5 / 3)
+        want = [mp.airyai(xm) * up, mp.airyai(xm, 1) * up,
+                mp.airybi(xm) / up, mp.airybi(xm, 1) / up]
+    assert_allclose([v[1] for v in got], [float(w) for w in want], rtol=1e-13)
+    # the Green function forms s+ - s-: on the axis upstream a- = 2 |zeta| = x
+    with pytest.raises(RangeError, match="green_closed: a- must stay below X_SCALED_MAX"):
+        green_closed(unit_system, (0.0, 0.0, -x / 2.0), (0.0, 0.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("fn", [airy_scaled, airy_bracket_scaled],
+                         ids=["scaled", "bracket"])
+@pytest.mark.parametrize("x", [1e300, -1e300, math.inf, np.array([1.0, 1e300])],
+                         ids=["huge", "huge-negative", "inf", "array"])
+def test_exponent_beyond_double_range_raises(fn, x):
+    # 2/3 |x|^1.5 overflows: a RangeError, before any NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"2/3 \|x\|\^1\.5 leaves double range"):
+            fn(x)
 
 
 def test_nan_rejected():

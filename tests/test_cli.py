@@ -365,9 +365,10 @@ def test_validate_subcommand_runs():
 def test_validate_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(validation, "flux", lambda preset, planes: [
         validation.Check("flux conservation z=1 m", 1.5, 1e-3, False)])
+    # the suite checks two presets, O- and Rb, one flux call each
     assert main(["validate", "--suite", "flux"]) == 1
     assert capsys.readouterr().out == ("[FAIL] flux conservation z=1 m: ratio = 1.50000000\n"
-                                       "validate: 1 check(s) FAILED\n")
+                                       * 2 + "validate: 2 check(s) FAILED\n")
 
 
 # ----------------------------------------------------------------------------
@@ -518,13 +519,17 @@ def test_negative_image_half_width_exits_1(tmp_path, capsys):
         detector_image(o_minus(), half_width=math.nan, resolution=8)
 
 
-def test_airy_argument_beyond_airye_exits_1(tmp_path, capsys):
-    # a 50 um Rb source puts the Airy argument near 2e8 on the detector
-    rc = main(["detector-image", "--preset", "rb-atom-laser", "--width", "50um",
-               "--n", "8", "-o", str(tmp_path / "x.pgm")])
-    assert rc == 1
-    assert "airy_scaled" in capsys.readouterr().err
-    assert not (tmp_path / "x.pgm").exists()
+def test_wide_condensate_image_exits_0(tmp_path):
+    # a 50 um Rb source puts the Airy argument near 2e8 on the detector, far
+    # beyond airy.X_SCALED_MAX; j_z cancels its exponents in closed form
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["detector-image", "--preset", "rb-atom-laser", "--width", "50um",
+                   "--n", "8", "--format", "json", "-o", str(out)])
+    assert rc == 0
+    pixels = np.array(json.loads(out.read_text())["pixels"])
+    assert np.all(np.isfinite(pixels)) and pixels.max() > 0.0
 
 
 @pytest.mark.parametrize("rows, line", [

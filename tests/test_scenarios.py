@@ -238,6 +238,16 @@ def test_beam_profiles_even_in_lateral_coordinate():
     assert_allclose(profile.values, profile.values[::-1], rtol=1e-9)
 
 
+@pytest.mark.parametrize("width", [13.7e-6, 20e-6, 50e-6])
+def test_default_profile_covers_wide_beam(width):
+    # past about 14 um the beam is wider than the classical radius the
+    # default half-width was built on (79.9 um at 2.5 kHz); the Gaussian
+    # bound, where 4 alpha^2 delta = 30, leaves the edges at e^-30 of the peak
+    profile = lateral_profile(replace(rb_atom_laser(), width=width), None, 201)
+    edge = max(profile.values[0], profile.values[-1])
+    assert edge <= 1e-6 * profile.values.max()
+
+
 def test_beam_profile_revolved_flux():
     # revolving a profile recovers the total current
     import dataclasses

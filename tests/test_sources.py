@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import airy as scipy_airy
@@ -17,7 +19,7 @@ from airybeam.green import green_closed
 from airybeam.scaling import (ELECTRON_MASS, energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
                               make_system)
-from airybeam.scenarios import o_minus, rb_atom_laser
+from airybeam.scenarios import detector_half_width, o_minus, rb_atom_laser
 from airybeam.sources import (GaussianSource, PointSource,
                               current_density_gauss, current_density_point,
                               equivalent_point_strength, gaussian_scaled,
@@ -400,6 +402,70 @@ def test_total_current_gauss_matches_mpmath_closed_form(rb_system, width):
             assert abs(j / float(want) - 1.0) <= 1e-13
 
 
+def _mp_gauss_far(sys, src, energy, x, z):
+    """60-digit j_z and psi_far of the Gaussian source at (x, 0, z), from the
+    closed forms in tilde variables with the same double alpha, eps, xi and
+    zeta; a- and a+ near 2e8 and -3e3 at 50 um."""
+    with mp.workdps(60):
+        alpha = mp.mpf(sys.beta_f * src.width)
+        et = mp.mpf(float(sys.scale_energy(energy))) + 4 * alpha**4
+        p = sys.scale_point((x, 0.0, z))
+        zt = mp.mpf(float(p.zeta)) + 2 * alpha**4
+        rt = mp.sqrt(mp.mpf(float(p.xi))**2 + zt**2)
+        am, ap = et - zt + rt, et - zt - rt
+        # ln Lambda: the weight hbar Omega (2 sqrt(pi) a)^(3/2) e^(2 alpha^2 (eps~ - 4 alpha^4/3))
+        log_w = (mp.log(mp.mpf(sys.hbar) * mp.mpf(src.coupling))
+                 + mp.mpf(1.5) * mp.log(2 * mp.sqrt(mp.pi) * mp.mpf(src.width))
+                 + 2 * alpha**2 * (et - 4 * alpha**4 / 3))
+        shape = (zt * mp.airyai(am, 1)**2
+                 + (zt * (zt - et) + rt**2) * mp.airyai(am)**2) / rt**3
+        jz = (mp.exp(2 * log_w) * mp.mpf(sys.mass) * mp.mpf(sys.beta_f)**3
+              / (2 * mp.pi * mp.mpf(sys.hbar)**3) * shape)
+        ci = lambda a, d=0: mp.airybi(a, d) + 1j * mp.airyai(a, d)
+        bracket = ci(ap) * mp.airyai(am, 1) - ci(ap, 1) * mp.airyai(am)
+        psi = (mp.exp(log_w) * mp.mpf(sys.beta) * mp.mpf(sys.beta_f)**3
+               * 2 / rt * bracket)
+        return float(jz), complex(psi)
+
+
+@pytest.mark.parametrize("width", [2.8e-6, 10e-6, 20e-6, 50e-6])
+def test_gauss_far_field_matches_mpmath_closed_form(width):
+    # as for J: the weight's exponent and j_z's -2 s (psi's -s-) are each of
+    # size alpha^6 (alpha = 83 at 50 um, a- ~ 2e8); 13 points across the
+    # default profile.  psi keeps ~1e-11, the phase error of Ci(a+) at
+    # |a+| ~ 3e3 (phase ~ 1e5 rad)
+    preset = replace(rb_atom_laser(), width=width)
+    sys, src = preset.system, preset.source
+    energy, z = preset.plane
+    xs = np.linspace(0.0, detector_half_width(preset, None), 13)
+    jz = current_density_gauss(sys, src, (xs, 0.0, z), energy)
+    psi = psi_gauss_far(sys, src, (xs, 0.0 * xs, z), energy)
+    for x, j, ps in zip(xs, jz, psi):
+        want_j, want_psi = _mp_gauss_far(sys, src, energy, x, z)
+        assert abs(j / want_j - 1.0) <= 1e-13
+        assert abs(ps / want_psi - 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_width=st.floats(math.log(0.05e-6), math.log(100e-6)),
+       nu=st.floats(-15e3, 15e3), frac=st.floats(0.0, 1.0))
+def test_gauss_observables_finite_at_any_width(log_width, nu, frac):
+    # wide condensates put a- = eps~ + delta far beyond airy.X_SCALED_MAX;
+    # no observable may warn, raise or leave double range on the way
+    preset = replace(rb_atom_laser(), width=math.exp(log_width), profile_nu=nu)
+    sys, src = preset.system, preset.source
+    energy, z = preset.plane
+    xs = np.array([0.0, frac, 1.0]) * detector_half_width(preset, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jz = current_density_gauss(sys, src, (xs, 0.0, z), energy)
+        j_total = total_current_gauss(sys, src, energy)
+        psi = psi_gauss_far(sys, src, (xs, 0.0 * xs, z), energy)
+    assert np.all(np.isfinite(jz)) and np.all(jz >= 0.0)
+    assert math.isfinite(j_total) and j_total > 0.0
+    assert np.all(np.isfinite(psi))
+
+
 def test_total_current_gauss_overflow_guard(unit_system):
     with pytest.raises(RangeError, match="exponent"):
         total_current_gauss(unit_system, GaussianSource(0.5, 1e170), 0.0)
@@ -432,12 +498,15 @@ def test_gaussian_weight_underflow_raises(rb_system):
         total_current_gauss(rb_system, GaussianSource(1e-6, 1e-300), 0.0)
 
 
-def test_airy_argument_beyond_airye_raises(unit_system):
-    # a- = 1.2e6 on the axis below the source, beyond airy.X_SCALED_MAX = 2^20
+def test_point_density_beyond_subtraction_cap_is_zero(unit_system):
+    # a- = 1.2e6 upstream on the axis, beyond airy.X_SCALED_MAX = 2^20:
+    # j_z carries e^(-2 s) = e^(-1.7e9), no exponent difference, so it is 0.0;
+    # the Green function forms s+ - s- and still raises
     r = (0.0, 0.0, -6e5)
-    with pytest.raises(RangeError, match="airy_scaled"):
-        current_density_point(unit_system, PointSource(1.0), r, 0.0)
-    with pytest.raises(RangeError, match="airy_scaled"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert current_density_point(unit_system, PointSource(1.0), r, 0.0) == 0.0
+    with pytest.raises(RangeError, match="green_closed: a- must stay below"):
         green_closed(unit_system, r, (0.0, 0.0, 0.0), 0.0)
 
 
