@@ -9,37 +9,65 @@ a unit.  Every flag that tunes a preset is declared once, in
 names; they are parsed as flags, before the command line, so explicit flags
 win.  An ``AIRYBEAM_OUTDIR`` environment variable sets the default output
 directory.
+
+Start-up is most of a small command, so the module imports little: the
+numeric layers are bound only after a command that computes has been parsed
+(``_LAYERS``), and what one path alone needs (``dataclasses``, ``json``,
+the scaling helpers an energy flag converts with) is imported in that path.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
+import importlib
 import math
 import os
 import re
 import sys as _sys
 
-import numpy as np
-
-from . import __version__, validation
+from . import __version__
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
-from .output import ScanResult, write_csv, write_json, write_pgm
-from .scaling import energy_from_ev, energy_from_frequency
-from .scenarios import (AtomLaserPreset, atom_laser_depletion,
-                        current_transition_scan, detector_image, grid,
-                        lateral_profile, o_minus, rb_atom_laser, s_minus,
-                        total_current_scan)
-from .sources import sum_rule_check
-# Unused here: these names stay bound for instrumentation that wraps them by
-# name (perfbench/tracing.py).
-from .green import green_closed, green_oracle  # noqa: F401
-from .scenarios import photodetachment_cross_section  # noqa: F401
-from .sources import (current_density_gauss, current_density_point,  # noqa: F401
-                      gaussian_scaled, total_current_gauss, total_current_point)
 
-_UNIT_RE = re.compile(r"^\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*([^\s0-9][^\s]*)\s*$")
+# The names the subcommands take from the numeric layers, by module.  They
+# become module globals only once a command that computes has been parsed
+# (``_bind_layers``), so ``--version``, ``--help`` and usage errors never
+# import NumPy.  Instrumentation (perfbench/tracing.py) wraps some of these
+# globals by name, before or after the first ``main``: a name already bound
+# is kept, a name read before binding goes through ``__getattr__``, and some
+# names are bound only so that they can be wrapped.
+_LAYERS = {
+    "green": ("green_closed", "green_oracle"),
+    "output": ("ScanResult", "write_csv", "write_json", "write_pgm"),
+    "scaling": ("energy_from_frequency",),
+    "scenarios": ("AtomLaserPreset", "atom_laser_depletion", "current_transition_scan",
+                  "detector_image", "grid", "lateral_profile", "o_minus",
+                  "photodetachment_cross_section", "rb_atom_laser", "s_minus",
+                  "total_current_scan"),
+    "sources": ("current_density_gauss", "current_density_point", "gaussian_scaled",
+                "sum_rule_check", "total_current_gauss", "total_current_point"),
+}
+
+
+def _bind_layers() -> None:
+    """Import the numeric layers and bind each name in ``_LAYERS`` not yet bound."""
+    bound = globals()
+    for module, names in _LAYERS.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            if name not in bound:
+                bound[name] = getattr(mod, name)
+
+
+def __getattr__(name):
+    if not any(name in names for names in _LAYERS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_layers()
+    return globals()[name]
+
+
+# a number and its unit; an exponent (the "e-5" of "1e-5") is not a unit
+_UNIT_RE = re.compile(r"^\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*"
+                      r"(?![eE][+-]?[0-9])([^\s0-9][^\s]*)\s*$")
 
 _ENERGY = {"neV": 1e-9, "ueV": 1e-6, "meV": 1e-3, "eV": 1.0}
 _LENGTH = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
@@ -61,6 +89,7 @@ def _finite_float(text: str) -> float:
 def _si_value(value: float, unit: str, kind: str) -> float | None:
     """``value`` in ``unit`` converted to SI; None for a unit ``kind`` lacks."""
     if kind == "energy":
+        from .scaling import energy_from_ev, energy_from_frequency
         if unit == "J":
             return value
         if unit in _ENERGY:
@@ -128,11 +157,8 @@ def _widths_list(text: str) -> list[float]:
     return widths
 
 
-_PRESETS = {
-    "s-minus": s_minus,
-    "o-minus": o_minus,
-    "rb-atom-laser": rb_atom_laser,
-}
+# each preset's factory is its name with underscores: o-minus is o_minus
+_PRESETS = ("s-minus", "o-minus", "rb-atom-laser")
 
 # Every flag that tunes a preset: its unit type, the preset field it sets
 # (a preset without that field exits 2), and its help text.
@@ -155,7 +181,8 @@ _PRESET_FLAGS = {
 
 def _preset(args, parser):
     """The chosen preset with every preset flag given applied to it."""
-    preset = _PRESETS[args.preset]()
+    import dataclasses
+    preset = globals()[args.preset.replace("-", "_")]()
     fields = {f.name for f in dataclasses.fields(preset)}
     changes = {}
     for flag, (_, name, _) in _PRESET_FLAGS.items():
@@ -197,7 +224,7 @@ def _provenance(args) -> dict:
     return out
 
 
-def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_overlay(path) -> ScanResult:
     """Two-column user CSV (abscissa,value) in UTF-8, '#' comments ignored."""
     rows = {}                                 # abscissa -> value
     with open(path, "rb") as fh:
@@ -222,7 +249,7 @@ def _read_overlay(path) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise DomainError(f"{path}: no data rows, expected 'abscissa,value' lines")
     xs, ys = zip(*sorted(rows.items()))
-    return np.asarray(xs), np.asarray(ys)
+    return ScanResult(xs, ys, "abscissa", "user_data")
 
 
 def _write_overlay_pair(args, model_fn) -> None:
@@ -233,9 +260,9 @@ def _write_overlay_pair(args, model_fn) -> None:
     """
     if getattr(args, "overlay", None) is None:
         return
-    xs, ys = _read_overlay(args.overlay)
-    _write(ScanResult(xs, ys, "abscissa", "user_data"), args, suffix="_overlay_data")
-    _write(ScanResult(xs, model_fn(xs), "abscissa", "model"), args,
+    data = _read_overlay(args.overlay)
+    _write(data, args, suffix="_overlay_data")
+    _write(ScanResult(data.abscissa, model_fn(data.abscissa), "abscissa", "model"), args,
            suffix="_overlay_model")
 
 
@@ -252,7 +279,7 @@ def _cmd_total_current(args, preset) -> int:
         summary = f", sum-rule ratio {lhs / rhs:.6f}"
     _write(result, args)
     _write_overlay_pair(args, lambda xs: total_current_scan(preset, xs).values)
-    ipk = int(np.argmax(result.values))
+    ipk = int(result.values.argmax())
     print(f"total-current: {len(result.values)} points, peak value "
           f"{result.values[ipk]:.6g} at {result.abscissa[ipk]:.6g} "
           f"{result.xlabel}{summary} -> {_out_path(args)}")
@@ -288,8 +315,8 @@ def _cmd_atom_laser(args, preset) -> int:
         preset, sign * nu).fractions * preset.atom_count)
     # the detuning origin convention differs between setups: report where
     # the exact current peaks and where the slicing resonance (eps = 0) sits
-    nu_peak = nus[int(np.argmax(curve.currents))]
-    imin = int(np.argmin(counts))
+    nu_peak = nus[int(curve.currents.argmax())]
+    imin = int(counts.argmin())
     print(f"atom-laser: deepest depletion {counts[imin]:.6g} at "
           f"nu = {detunings[imin]:.6g} Hz; exact-current peak at "
           f"nu = {sign * nu_peak:.6g} Hz, slicing peak at nu = 0 Hz "
@@ -312,18 +339,20 @@ def _cmd_transition(args, preset) -> int:
     return 0
 
 
-# the suites ``validate --suite`` names, each a function returning its Checks
-_SUITES = {"sum-rule": lambda: validation.sum_rule(rb_atom_laser()),
-           "oracle": lambda: [validation.oracle_agreement(20)],
-           "flux": lambda: (validation.flux(o_minus(), (0.35, 0.514))
-                            + validation.flux(rb_atom_laser(), (0.7e-3, 1.0e-3)))}
+# the suites ``validate --suite`` names, each a function of the
+# ``airybeam.validation`` module returning its Checks
+_SUITES = {"sum-rule": lambda v: v.sum_rule(rb_atom_laser()),
+           "oracle": lambda v: [v.oracle_agreement(20)],
+           "flux": lambda v: (v.flux(o_minus(), (0.35, 0.514), "o-minus")
+                              + v.flux(rb_atom_laser(), (0.7e-3, 1.0e-3), "rb-atom-laser"))}
 
 
 def _cmd_validate(args, _preset) -> int:
+    from . import validation
     failures = 0
     for name, run in _SUITES.items():
         if args.suite in ("all", name):
-            for check in run():
+            for check in run(validation):
                 failures += not check.ok
                 print(check)
     print(f"validate: {'all checks passed' if failures == 0 else f'{failures} check(s) FAILED'}")
@@ -415,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_argv(path, parser) -> list[str]:
     """A JSON config file as flag tokens: ``{"n": 17, "widths": ["1um"]}`` is
     ``--n 17 --widths 1um``; ``true`` sets a switch and ``false`` leaves it off."""
+    import json
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -442,6 +472,7 @@ def main(argv=None) -> int:
         # config flags go right after the subcommand: the command line wins
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_argv(args.config, parser) + argv[at:])
+    _bind_layers()
     try:
         preset = _preset(args, parser) if hasattr(args, "preset") else None
         return args.fn(args, preset)

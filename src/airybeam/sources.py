@@ -430,7 +430,11 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     eps = _scaled_energy("total_current_slicing", sys, energy)
     omega2 = _coupling_squared("total_current_slicing", src)
     pref = 2.0 * math.sqrt(math.pi) * sys.hbar * omega2 * sys.beta / alpha
-    return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
+    if not (alpha**2 > 0.0 and math.isfinite(pref)):
+        raise RangeError(f"total_current_slicing: alpha = beta F a = {alpha:.3g} is so "
+                         "small that alpha^2 or J_sp ~ 1/alpha leaves double range")
+    with np.errstate(over="ignore"):          # |eps| >> alpha: exp(-inf) = 0
+        return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
 
 
 def sum_rule_check(

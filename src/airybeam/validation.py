@@ -81,10 +81,12 @@ def oracle_agreement(n: int, seed: int = 20240501) -> Check:
     return Check("oracle agreement", worst, 1e-6, worst <= 1e-6, "worst rel {:.3e}")
 
 
-def flux(preset, planes) -> list[Check]:
-    """Flux of j_z through each plane z (m) / J, at the preset's image energy;
-    the radial integral stops where the (virtual) source's Airy argument
+def flux(preset, planes, name: str = "") -> list[Check]:
+    """Flux of j_z through each plane z (m) / J, at the preset's image energy,
+    each check labelled with the preset's ``name`` if given; the radial
+    integral stops where the (virtual) source's Airy argument
     a- = eps + delta has a-^1.5 = 12^1.5 + max(eps, 0)^1.5, at any eps~."""
+    label = f"flux conservation {name}".rstrip()
     sys = preset.system
     energy, _ = preset.plane
     j_total = preset.total_current(energy)
@@ -100,5 +102,5 @@ def flux(preset, planes) -> list[Check]:
         total, _ = gauss_kronrod(
             lambda R: preset.current_density((R, 0.0, z), energy) * 2.0 * math.pi * R,
             0.0, r_max, limit=2000, epsrel=1e-10)
-        out.append(_ratio(f"flux conservation z={z} m", total / j_total, 1e-3))
+        out.append(_ratio(f"{label} z={z} m", total / j_total, 1e-3))
     return out

@@ -6,11 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import airybeam
@@ -273,6 +278,14 @@ def test_bare_number_rejected_for_dimensioned_flag(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["1e-114", "2E+5", "3e7 "])
+def test_bare_exponent_number_is_not_read_as_a_unit(tmp_path, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["total-current", "--emin", value, "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "needs a unit suffix (bare numbers are rejected)" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_1(tmp_path):
     rc = main(["total-current", "--preset", "s-minus", "--n", "10",
                "--emin", "0ueV", "--emax", "10ueV",
@@ -363,12 +376,15 @@ def test_validate_subcommand_runs():
 
 
 def test_validate_failing_check_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(validation, "flux", lambda preset, planes: [
-        validation.Check("flux conservation z=1 m", 1.5, 1e-3, False)])
-    # the suite checks two presets, O- and Rb, one flux call each
+    monkeypatch.setattr(validation, "flux", lambda preset, planes, name: [
+        validation.Check(f"flux conservation {name} z=1 m", 1.5, 1e-3, False)])
+    # the suite checks two presets, O- and Rb, one flux call each, and each
+    # line names its preset
     assert main(["validate", "--suite", "flux"]) == 1
-    assert capsys.readouterr().out == ("[FAIL] flux conservation z=1 m: ratio = 1.50000000\n"
-                                       * 2 + "validate: 2 check(s) FAILED\n")
+    assert capsys.readouterr().out == (
+        "[FAIL] flux conservation o-minus z=1 m: ratio = 1.50000000\n"
+        "[FAIL] flux conservation rb-atom-laser z=1 m: ratio = 1.50000000\n"
+        "validate: 2 check(s) FAILED\n")
 
 
 # ----------------------------------------------------------------------------
@@ -745,6 +761,81 @@ def test_preset_flag_at_extreme_values(tmp_path, command, preset, flag, capsys):
             for path in out.iterdir():
                 assert _written_numbers_finite(path), (argv, path.name)
     assert "Traceback" not in capsys.readouterr().err
+
+
+_LENGTH_UNITS = ("nm", "um", "mm", "cm", "m")
+_KNOWN_UNITS = _LENGTH_UNITS + ("ueV", "eV", "J", "Hz", "kHz", "ms", "eV/m")
+_number_text = st.one_of(st.floats(), st.floats(-1e3, 1e3), st.integers(-10**6, 10**6),
+                         st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-330, 330))
+                         ).map(str)
+_lengths = st.builds("{}{}".format, _number_text, st.sampled_from(_LENGTH_UNITS))
+# malformed unit strings: a wrong, misspelt or missing unit, or any text
+_malformed = st.one_of(
+    st.builds("{}{}".format, _number_text,
+              st.sampled_from(_KNOWN_UNITS + ("", "furlongs", "UM", " um", "u m", "µm"))),
+    st.text(max_size=8),
+)
+
+
+def _property_argv(data, out) -> list[str]:
+    """One drawn command line: ``--n``, ``--half-width``, ``--widths`` and
+    perhaps one preset flag, each unit flag well formed or malformed."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    presets, flags, _ = _COMMANDS[command]
+    image = command in ("density-profile", "detector-image")
+    n = data.draw(st.integers(-3, 64 if image else 200), label="n")
+    argv = [command, "--preset", data.draw(st.sampled_from(presets)), "--n", str(n),
+            "-o", str(out / "x.out")]
+    if image:
+        argv += ["--half-width", data.draw(_lengths | _malformed, label="half-width")]
+    if command == "detector-image":
+        argv += ["--format", "json"]
+    if command == "transition":
+        widths = st.lists(_lengths, min_size=1, max_size=3) | st.lists(_malformed, max_size=3)
+        argv += ["--widths", ",".join(data.draw(widths, label="widths"))]
+    flag = data.draw(st.none() | st.sampled_from(flags.split()), label="flag")
+    if flag is not None:
+        unit = re.fullmatch(r"-?[0-9.]+(\D*)", _FLAG_VALUES[flag]).group(1)
+        value = st.builds("{}{}".format, _number_text, st.just(unit)) | _malformed
+        argv += [f"--{flag}", data.draw(value, label=flag)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_numeric_flags_property(data):
+    # exit 0, 1 or 2 with a message and no traceback or RuntimeWarning, and
+    # on exit 0 only finite numbers in the files written
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        argv = _property_argv(data, out)
+        err = StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:        # argparse's usage errors
+                rc = exc.code
+        err = err.getvalue()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err
+        assert {0: True, 1: "airybeam: " in err, 2: "usage: airybeam" in err}[rc], err
+        if rc == 0:
+            for path in out.iterdir():
+                assert _written_numbers_finite(path), (argv, path.name)
+
+
+def test_transition_at_vanishing_width(tmp_path, capsys):
+    # alpha ~ 1e-154: the slicing exponent -eps^2/(4 alpha^2) overflows to
+    # -inf and J_sp is 0; alpha ~ 1e-294: alpha^2 underflows, exit 1
+    argv = ["transition", "--n", "5", "-o", str(tmp_path / "t.csv"), "--widths"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["1e-160m"]) == 0
+        assert main(argv + ["1e-300m"]) == 1
+    assert "total_current_slicing: alpha = beta F a = 1.66e-294" in capsys.readouterr().err
+    for path in tmp_path.iterdir():
+        assert _written_numbers_finite(path), path.name
 
 
 def test_out_of_memory_is_a_message(tmp_path, monkeypatch, capsys):
