@@ -17,11 +17,14 @@ PGM: binary P5, 16-bit big-endian samples, max-normalized and quantized
 in blocks of rows, with a ``<name>.meta.json`` sidecar recording the
 physical extent, the normalization factor and the ``meta``.
 
-JSON: the ``meta`` and exact doubles via ``repr``; the package version sits
-at the top level of a scan and in the ``meta`` of an image, whose top-level
-keys stay ``half_width_m``, ``meta`` and ``pixels``.  An image formats each
-distinct stored value once and writes the rows from those strings, with the
-same bytes ``json.dumps`` gives for the whole document.
+JSON: the ``meta``, and each double as the bytes ``repr`` gives it, formatted
+for a whole array at once by ``shortest.repr_bytes``; the package version
+sits at the top level of a scan and in the ``meta`` of an image, whose
+top-level keys stay ``half_width_m``, ``meta`` and ``pixels``.  An image
+formats each distinct stored value once and writes the rows from those
+strings; a scan's arrays are spliced into the document ``json.dumps`` gives
+with them empty.  Both write the bytes ``json.dumps`` gives for the whole
+document.
 """
 
 from __future__ import annotations
@@ -165,14 +168,39 @@ def write_csv(result: ScanResult, path) -> None:
         fh.write(data)
 
 
+def _cells(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """``repr`` of each double in ``values`` followed by ``sep``, NUL-padded,
+    as an ``S`` array: the bytes of a run of cells, NULs dropped, are their
+    strings joined by ``sep``, with one more ``sep`` at the end."""
+    from .shortest import WIDTH, repr_bytes    # here: CSV and PGM commands never load it
+    text = repr_bytes(values).view(np.uint8).reshape(-1, WIDTH)
+    cells = np.zeros((len(text), WIDTH + len(sep)), dtype=np.uint8)
+    cells[:, :WIDTH] = text
+    ends = np.count_nonzero(text, axis=1)       # a repr holds no NUL
+    rows = np.arange(len(cells))
+    for i, byte in enumerate(sep):
+        cells[rows, ends + i] = byte
+    return cells.view(f"S{WIDTH + len(sep)}").reshape(-1)
+
+
+def _joined(cells: np.ndarray, sep: bytes) -> bytes:
+    """The strings of ``cells`` (from ``_cells(..., sep)``) joined by ``sep``."""
+    text = cells.view(np.uint8)
+    return text[text != 0][:-len(sep)].tobytes()
+
+
 def write_json(result: ScanResult | RasterImage, path) -> None:
-    """JSON rendering of a ScanResult or a RasterImage (exact doubles via repr).
+    """JSON rendering of a ScanResult or a RasterImage, each double written
+    as ``repr`` writes it.
 
     Image pixels are encoded row by row, never as one string of the raster.
     Each distinct double of the stored block is formatted once, each stored
     row is joined once, widened by its mirrored columns, and the rows past
-    the stored ones are written again in mirror order.  The bytes equal
-    those of ``json.dumps(doc, sort_keys=True)`` on the whole image document.
+    the stored ones are written again in mirror order.  A scan's document is
+    dumped with empty arrays, into which the formatted arrays are spliced.
+    The bytes equal those of ``json.dumps(doc, sort_keys=True)`` on the whole
+    image document, and of ``json.dumps(doc, sort_keys=True, indent=1)`` on
+    the whole scan document, plus a newline.
     """
     if isinstance(result, RasterImage):
         meta = {**result.meta, "airybeam": __version__}
@@ -183,25 +211,33 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
         # 0.0 apart where a float comparison would not
         bits = result.block.view(np.uint64)
         keys, inverse = np.unique(bits.ravel(), return_inverse=True)
-        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-        rows = [", ".join(text[_unfold_columns(row, result.shape[1])].tolist())
+        cells = _cells(keys.view(np.float64), b", ")
+        rows = [_joined(cells.take(_unfold_columns(row, result.shape[1])), b", ")
                 for row in inverse.reshape(bits.shape)]
-        with open(path, "w") as fh:
-            fh.write(head[:-1] + ', "pixels": [')      # "pixels" sorts last
+        with open(path, "wb") as fh:
+            fh.write(head[:-1].encode("ascii") + b', "pixels": [')   # "pixels" sorts last
             for i, k in enumerate(_row_order(len(rows), result.shape[0]).tolist()):
-                fh.write((", [" if i else "[") + rows[k] + "]")
-            fh.write("]}\n")
+                fh.write((b", [" if i else b"[") + rows[k] + b"]")
+            fh.write(b"]}\n")
         return
     doc = {
         "airybeam": __version__,
         "meta": result.meta,
         "xlabel": result.xlabel,
         "ylabel": result.ylabel,
-        "abscissa": [float(v) for v in result.abscissa],
-        "values": [float(v) for v in result.values],
+        "abscissa": [],
+        "values": [],
     }
+    text = json.dumps(doc, sort_keys=True, indent=1).encode("ascii")
+    # a top-level key alone is indented by one space, so each key's empty
+    # list occurs once
+    for key, column in ((b"abscissa", result.abscissa), (b"values", result.values)):
+        if column.size:
+            listed = _joined(_cells(column, b",\n  "), b",\n  ")
+            text = text.replace(b'\n "%s": []' % key,
+                                b'\n "%s": [\n  %s\n ]' % (key, listed), 1)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1).encode("ascii"))
+        fh.write(text)
         fh.write(b"\n")
 
 

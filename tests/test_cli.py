@@ -574,7 +574,8 @@ def test_write_json_raster_image_bytes(tmp_path):
     write_json(img, tmp_path / "img.json")
     doc = {"pixels": img.pixels.tolist(), "half_width_m": img.half_width,
            "meta": {**img.meta, "airybeam": airybeam.__version__}}
-    assert (tmp_path / "img.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
+    assert (tmp_path / "img.json").read_bytes() == \
+        (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
 
 
 def test_overlay_without_data_rows_exits_1(tmp_path, capsys):

@@ -7,6 +7,8 @@ as the bytes are written.  ``write_json`` formats each distinct pixel value
 once; these tests hold its bytes to the plain encoding of
 ``{"half_width_m", "meta", "pixels": rows}``, the package version in
 ``meta``, and ``write_pgm``'s to the quantization of the whole raster at once.
+A scan's JSON is held to ``json.dumps`` of its whole document.  The files
+are compared as bytes, so a line ending written in text mode would show.
 """
 
 import json
@@ -35,13 +37,26 @@ def reference(image):
     doc = {"half_width_m": image.half_width,
            "meta": {**image.meta, "airybeam": __version__},
            "pixels": image.pixels.tolist()}
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
 
 
 def written(image, tmp_path):
     path = tmp_path / "img.json"
     write_json(image, path)
-    return path.read_text()
+    return path.read_bytes()
+
+
+def scan_reference(scan):
+    doc = {"airybeam": __version__, "meta": scan.meta, "xlabel": scan.xlabel,
+           "ylabel": scan.ylabel, "abscissa": scan.abscissa.tolist(),
+           "values": scan.values.tolist()}
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("ascii")
+
+
+def scan_written(scan, tmp_path):
+    path = tmp_path / "scan.json"
+    write_json(scan, path)
+    return path.read_bytes()
 
 
 def pgm_reference(image):
@@ -138,6 +153,35 @@ def test_quadrant_image_writes_bytes_of_assembled_raster(tmp_path, preset, n):
     assert whole.block.shape == (n, n)
     assert pgm_written(image, tmp_path) == pgm_written(whole, tmp_path)
     assert written(image, tmp_path) == written(whole, tmp_path)
+
+
+@pytest.mark.parametrize("scan", [
+    ScanResult(np.array([]), np.array([])),
+    ScanResult(np.array([2.5]), np.array([1e-300]), "E", "J"),
+    ScanResult(np.array([-3.0, -1.5, -1e-9]), np.array([-2.0, 0.5, 7.0])),
+    ScanResult(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, -0.0, -0.0, 0.0])),
+    ScanResult(np.array([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]),
+               np.array([np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+                         np.nextafter(1e16, 0.0), 1e16, -np.nextafter(1e16, 1e17)])),
+    ScanResult(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+               meta={"z_m": 0.35, "tiny": 5e-324, "name": "Rb \u2077 \u00e9",
+                     "emoji": "\U0001f600", "values": []}),
+], ids=["empty", "one-point", "negative-abscissa", "signed-zeros",
+        "layout-boundaries", "meta-floats-non-ascii"])
+def test_scan_json_equals_json_dumps(tmp_path, scan):
+    assert scan_written(scan, tmp_path) == scan_reference(scan)
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(0, 12), unique=True,
+              elements=st.floats(-1e300, 1e300)),
+       st.data())
+def test_scan_json_property(tmp_path_factory, abscissa, data):
+    abscissa = np.sort(abscissa + 0.0)          # -0.0 and 0.0 are one abscissa
+    values = data.draw(arrays(np.float64, len(abscissa),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    scan = ScanResult(abscissa, values)
+    assert scan_written(scan, tmp_path_factory.mktemp("scan")) == scan_reference(scan)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -1.0])
