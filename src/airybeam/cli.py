@@ -11,15 +11,15 @@ win.  An ``AIRYBEAM_OUTDIR`` environment variable sets the default output
 directory.
 
 Start-up is most of a small command, so the module imports little: the
-numeric layers are bound only after a command that computes has been parsed
-(``_LAYERS``), and what one path alone needs (``dataclasses``, ``json``,
-the scaling helpers an energy flag converts with) is imported in that path.
+package's public names (``airybeam.__all__``) are bound only after a command
+that computes has been parsed, and what one path alone needs
+(``dataclasses``, ``json``, the scaling helpers an energy flag converts
+with) is imported in that path.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import os
 import re
@@ -28,38 +28,23 @@ import sys as _sys
 from . import __version__
 from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
 
-# The names the subcommands take from the numeric layers, by module.  They
-# become module globals only once a command that computes has been parsed
+# The subcommands call the package's public names as module globals.  They
+# are bound only once a command that computes has been parsed
 # (``_bind_layers``), so ``--version``, ``--help`` and usage errors never
 # import NumPy.  Instrumentation (perfbench/tracing.py) wraps some of these
 # globals by name, before or after the first ``main``: a name already bound
-# is kept, a name read before binding goes through ``__getattr__``, and some
-# names are bound only so that they can be wrapped.
-_LAYERS = {
-    "green": ("green_closed", "green_oracle"),
-    "output": ("ScanResult", "write_csv", "write_json", "write_pgm"),
-    "scaling": ("energy_from_frequency",),
-    "scenarios": ("AtomLaserPreset", "atom_laser_depletion", "current_transition_scan",
-                  "detector_image", "grid", "lateral_profile", "o_minus",
-                  "photodetachment_cross_section", "rb_atom_laser", "s_minus",
-                  "total_current_scan"),
-    "sources": ("current_density_gauss", "current_density_point", "gaussian_scaled",
-                "sum_rule_check", "total_current_gauss", "total_current_point"),
-}
-
-
+# is kept, and a name read before binding goes through ``__getattr__``.
 def _bind_layers() -> None:
-    """Import the numeric layers and bind each name in ``_LAYERS`` not yet bound."""
+    """Bind each name in ``airybeam.__all__`` not yet bound here."""
+    import airybeam
     bound = globals()
-    for module, names in _LAYERS.items():
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            if name not in bound:
-                bound[name] = getattr(mod, name)
+    for name in airybeam.__all__:
+        bound.setdefault(name, getattr(airybeam, name))
 
 
 def __getattr__(name):
-    if not any(name in names for names in _LAYERS.values()):
+    import airybeam
+    if name not in airybeam.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_layers()
     return globals()[name]
@@ -225,19 +210,20 @@ def _provenance(args) -> dict:
 
 
 def _read_overlay(path) -> ScanResult:
-    """Two-column user CSV (abscissa,value) in UTF-8, '#' comments ignored."""
+    """Two-column user CSV (abscissa,value) in UTF-8, a byte-order mark
+    allowed, '#' comments ignored."""
     rows = {}                                 # abscissa -> value
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     for lineno, raw in enumerate(lines, 1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8-sig").strip()
         except UnicodeDecodeError:
             raise DomainError(f"{path}:{lineno}: not UTF-8 text") from None
         if not line or line.startswith("#"):
             continue
         try:
-            x, y = map(float, line.split(",")[:2])
+            x, y = map(float, line.split(","))
         except ValueError:
             raise DomainError(f"{path}:{lineno}: expected 'abscissa,value', "
                               f"got {line!r}") from None

@@ -168,27 +168,6 @@ def write_csv(result: ScanResult, path) -> None:
         fh.write(data)
 
 
-def _cells(values: np.ndarray, sep: bytes) -> np.ndarray:
-    """``repr`` of each double in ``values`` followed by ``sep``, NUL-padded,
-    as an ``S`` array: the bytes of a run of cells, NULs dropped, are their
-    strings joined by ``sep``, with one more ``sep`` at the end."""
-    from .shortest import WIDTH, repr_bytes    # here: CSV and PGM commands never load it
-    text = repr_bytes(values).view(np.uint8).reshape(-1, WIDTH)
-    cells = np.zeros((len(text), WIDTH + len(sep)), dtype=np.uint8)
-    cells[:, :WIDTH] = text
-    ends = np.count_nonzero(text, axis=1)       # a repr holds no NUL
-    rows = np.arange(len(cells))
-    for i, byte in enumerate(sep):
-        cells[rows, ends + i] = byte
-    return cells.view(f"S{WIDTH + len(sep)}").reshape(-1)
-
-
-def _joined(cells: np.ndarray, sep: bytes) -> bytes:
-    """The strings of ``cells`` (from ``_cells(..., sep)``) joined by ``sep``."""
-    text = cells.view(np.uint8)
-    return text[text != 0][:-len(sep)].tobytes()
-
-
 def write_json(result: ScanResult | RasterImage, path) -> None:
     """JSON rendering of a ScanResult or a RasterImage, each double written
     as ``repr`` writes it.
@@ -202,6 +181,7 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
     image document, and of ``json.dumps(doc, sort_keys=True, indent=1)`` on
     the whole scan document, plus a newline.
     """
+    from .shortest import repr_bytes    # here: CSV and PGM commands never load it
     if isinstance(result, RasterImage):
         meta = {**result.meta, "airybeam": __version__}
         head = json.dumps({"half_width_m": result.half_width, "meta": meta},
@@ -211,8 +191,9 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
         # 0.0 apart where a float comparison would not
         bits = result.block.view(np.uint64)
         keys, inverse = np.unique(bits.ravel(), return_inverse=True)
-        cells = _cells(keys.view(np.float64), b", ")
-        rows = [_joined(cells.take(_unfold_columns(row, result.shape[1])), b", ")
+        # ``tolist`` of the ``S`` array gives each string without its NUL padding
+        cells = np.array(repr_bytes(keys.view(np.float64)).tolist(), dtype=object)
+        rows = [b", ".join(cells[_unfold_columns(row, result.shape[1])].tolist())
                 for row in inverse.reshape(bits.shape)]
         with open(path, "wb") as fh:
             fh.write(head[:-1].encode("ascii") + b', "pixels": [')   # "pixels" sorts last
@@ -233,7 +214,7 @@ def write_json(result: ScanResult | RasterImage, path) -> None:
     # list occurs once
     for key, column in ((b"abscissa", result.abscissa), (b"values", result.values)):
         if column.size:
-            listed = _joined(_cells(column, b",\n  "), b",\n  ")
+            listed = b",\n  ".join(repr_bytes(column).tolist())
             text = text.replace(b'\n "%s": []' % key,
                                 b'\n "%s": [\n  %s\n ]' % (key, listed), 1)
     with open(path, "wb") as fh:

@@ -71,14 +71,10 @@ class PhysicalSystem:
         bf = self.beta_f
         return ScaledPoint(*((bf * np.asarray(c, dtype=float))[()] for c in r))
 
-    def unscale_point(self, p: "ScaledPoint") -> tuple[float, float, float]:
-        bf = self.beta_f
-        return (p.xi / bf, p.nu_y / bf, p.zeta / bf)
-
 
 @dataclass(frozen=True)
 class ScaledPoint:
-    """Dimensionless coordinates (xi, nu_y, zeta); rho is the scaled radius.
+    """Dimensionless coordinates (xi, nu_y, zeta).
 
     The coordinates are floats, or arrays for an array of points.
     """
@@ -86,10 +82,6 @@ class ScaledPoint:
     xi: float | np.ndarray
     nu_y: float | np.ndarray
     zeta: float | np.ndarray
-
-    @property
-    def rho(self) -> float | np.ndarray:
-        return np.sqrt(self.xi**2 + self.nu_y**2 + self.zeta**2)
 
 
 def make_system(mass: float, force: float, hbar: float = HBAR) -> PhysicalSystem:

@@ -331,9 +331,11 @@ def test_csv_writer_deterministic_bytes(tmp_path):
     assert text.index("a_key") < text.index("b_key")   # sorted provenance
 
 
-def test_overlay_emits_data_and_model_files(tmp_path):
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_overlay_emits_data_and_model_files(tmp_path, prefix):
+    # a byte-order mark, as spreadsheets write "CSV UTF-8", is accepted
     overlay = tmp_path / "meas.csv"
-    overlay.write_text("# measured\n2000,0.99\n-1000,0.9\n500,0.97\n")
+    overlay.write_bytes(prefix + b"2000,0.99\n# measured\n-1000,0.9\n500,0.97\n")
     rc = main(["atom-laser", "--n", "21", "--numin", "-3kHz", "--numax", "3kHz",
                "--overlay", str(overlay), "-o", str(tmp_path / "dep.csv")])
     assert rc == 0
@@ -550,9 +552,9 @@ def test_wide_condensate_image_exits_0(tmp_path):
 
 @pytest.mark.parametrize("rows, line", [
     (b"1000", 2), (b"1000,abc", 2), (b"nan,3", 2), (b"inf,3", 2), (b"1,2\n1,3", 3),
-    (b"1,2\n3,4 # \xff", 3),
+    (b"1,2\n3,4 # \xff", 3), (b"1,2,3", 2),
 ], ids=["one-column", "non-numeric", "nan", "inf", "repeated-abscissa",
-        "not-utf8"])
+        "not-utf8", "three-columns"])
 def test_malformed_overlay_row_exits_1(tmp_path, rows, line, capsys):
     overlay = tmp_path / "meas.csv"
     overlay.write_bytes(b"# measured\n" + rows + b"\n")
