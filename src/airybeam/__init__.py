@@ -19,8 +19,8 @@ _EXPORTS = {
     "green": ("GreenValue", "green_closed", "green_oracle"),
     "output": ("RasterImage", "ScanResult", "write_csv", "write_json", "write_pgm"),
     "scaling": ("ELECTRON_MASS", "G_EARTH", "HBAR", "RB87_MASS", "PhysicalSystem",
-                "ScaledPoint", "energy_from_ev", "energy_from_frequency",
-                "force_from_ev_per_m", "make_system"),
+                "energy_from_ev", "energy_from_frequency", "force_from_ev_per_m",
+                "make_system"),
     "scenarios": ("AtomLaserPreset", "DepletionCurve", "PhotodetachmentPreset",
                   "TransitionCurves", "atom_laser_depletion", "current_transition_scan",
                   "detector_half_width", "detector_image", "grid", "lateral_profile",

@@ -226,24 +226,27 @@ def write_pgm(image: RasterImage, path) -> None:
     """Write a 16-bit binary PGM plus a ``.meta.json`` sidecar.
 
     The stored block is quantized once, ``_PGM_ROWS`` rows at a time, into
-    16-bit samples; the raster's rows are then written from those samples,
-    widened by their mirrored columns, ``_PGM_ROWS`` rows at a time.  No
-    raster-sized temporary is made.
+    big-endian 16-bit rows of the raster's full width, whose mirrored
+    columns are filled in one copy; those rows are written, then the rows
+    past them, in mirror order, ``_PGM_ROWS`` at a time.  No raster-sized
+    temporary is made.
     """
     peak = image.peak
     h, w = image.shape
     block = image.block
-    samples = np.zeros(block.shape, np.uint16)
+    stored = block.shape[1]
+    samples = np.zeros((len(block), w), ">u2")
     if peak > 0.0:
         for i in range(0, len(block), _PGM_ROWS):
             # divide first: 65535/peak overflows to inf for a subnormal peak
-            samples[i:i + _PGM_ROWS] = np.rint(block[i:i + _PGM_ROWS] / peak * 65535.0)
+            samples[i:i + _PGM_ROWS, :stored] = np.rint(block[i:i + _PGM_ROWS] / peak * 65535.0)
+    samples[:, stored:] = samples[:, :w - stored][:, ::-1]
     order = _row_order(len(block), h)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        for i in range(0, h, _PGM_ROWS):
-            rows = _unfold_columns(samples[order[i:i + _PGM_ROWS]], w)
-            fh.write(rows.astype(">u2").tobytes())
+        fh.write(samples)
+        for i in range(len(block), h, _PGM_ROWS):
+            fh.write(samples[order[i:i + _PGM_ROWS]])
     side = {
         "airybeam": __version__,
         "width": w,

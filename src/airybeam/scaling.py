@@ -22,7 +22,7 @@ from .errors import DomainError, RangeError
 
 __all__ = [
     "HBAR", "ELECTRON_MASS", "RB87_MASS", "ELEMENTARY_CHARGE", "G_EARTH",
-    "PhysicalSystem", "ScaledPoint", "make_system",
+    "PhysicalSystem", "make_system",
     "energy_from_ev", "energy_from_frequency", "force_from_ev_per_m",
 ]
 
@@ -66,22 +66,11 @@ class PhysicalSystem:
         """The physical energy E (J) of a scaled energy epsilon."""
         return -eps / (2.0 * self.beta)
 
-    def scale_point(self, r) -> "ScaledPoint":
-        """Scaled coordinates of r = (x, y, z); components may be arrays."""
+    def scale_point(self, r) -> tuple:
+        """The scaled coordinates (xi, nu_y, zeta) of r = (x, y, z): each a
+        NumPy float64, or an array where that component of r is one."""
         bf = self.beta_f
-        return ScaledPoint(*((bf * np.asarray(c, dtype=float))[()] for c in r))
-
-
-@dataclass(frozen=True)
-class ScaledPoint:
-    """Dimensionless coordinates (xi, nu_y, zeta).
-
-    The coordinates are floats, or arrays for an array of points.
-    """
-
-    xi: float | np.ndarray
-    nu_y: float | np.ndarray
-    zeta: float | np.ndarray
+        return tuple((bf * np.asarray(c, dtype=float))[()] for c in r)
 
 
 def make_system(mass: float, force: float, hbar: float = HBAR) -> PhysicalSystem:

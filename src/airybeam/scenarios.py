@@ -252,10 +252,11 @@ def detector_image(preset, half_width: float | None = None,
     Rotational symmetry about the field axis is exact, so j_z is computed
     radially, on a dense 1-D grid, and interpolated at each pixel's radius.
     The pixel centers are exact negatives of each other across the middle,
-    so the raster is exactly symmetric under both flips: only its upper-left
-    quadrant is interpolated, in blocks of rows, and the image holds that
-    quadrant (``RasterImage.from_quadrant``).  ``half_width`` defaults to
-    that of ``detector_half_width``.
+    so the raster is exactly symmetric under both flips, and its upper-left
+    quadrant under transposition: the quadrant's part from the diagonal on
+    is interpolated, in blocks of rows, and the image holds that quadrant
+    (``RasterImage.from_quadrant``).  ``half_width`` defaults to that of
+    ``detector_half_width``.
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
@@ -271,12 +272,15 @@ def detector_image(preset, half_width: float | None = None,
     )
     # centers[n-1-i] == -centers[i] exactly (a half-integer offset times
     # one step) and hypot ignores signs: the upper-left h x h quadrant, the
-    # middle row and column included for odd n, is the whole image
+    # middle row and column included for odd n, is the whole image.  As
+    # hypot(a, b) == hypot(b, a), each block of rows is interpolated from the
+    # diagonal on, and its part right of the block is copied below it, transposed
     c = centers[:(resolution + 1) // 2]
     quad = np.empty((len(c), len(c)))
     for i in range(0, len(c), _IMAGE_ROWS):
-        quad[i:i + _IMAGE_ROWS] = np.interp(
-            np.hypot(c[i:i + _IMAGE_ROWS, None], c[None, :]), r_grid, j_rad)
+        k = i + _IMAGE_ROWS
+        quad[i:k, i:] = np.interp(np.hypot(c[i:k, None], c[None, i:]), r_grid, j_rad)
+        quad[k:, i:k] = quad[i:k, k:].T
     meta = {
         "energy_J": energy,
         "z_m": z,

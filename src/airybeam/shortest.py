@@ -96,31 +96,29 @@ def _templates() -> np.ndarray:
     """Source columns of every layout, one row each, NUL-padded to WIDTH, in
     the order ``_format_block`` numbers them: positional (sign, X, digit
     count), then exponential (sign, exponent width, digit count), then the
-    two zeros."""
-    rows = []
-    for sign in ([], [_MINUS]):
-        for x in _X_POS:
-            for n in range(1, _NDIG + 1):
-                digits = list(range(n))
-                if x < 0:
-                    body = [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits
-                elif n > x + 1:
-                    body = digits[:x + 1] + [_DOT] + digits[x + 1:]
-                else:
-                    body = digits + [_ZERO] * (x + 1 - n) + [_DOT, _ZERO]
-                rows.append(sign + body)
-    for sign in ([], [_MINUS]):
-        for width in (2, 3):
-            exponent = [_E, _EXP_SIGN] + list(range(_EXP_DIGITS + 3 - width, _EXP_DIGITS + 3))
-            for n in range(1, _NDIG + 1):
-                mantissa = [0] + ([_DOT] + list(range(1, n)) if n > 1 else [])
-                rows.append(sign + mantissa + exponent)
-    for sign in ([], [_MINUS]):
-        rows.append(sign + [_ZERO, _DOT, _ZERO])
-    table = np.full((len(rows), WIDTH), _NUL, dtype=np.int32)
-    for i, row in enumerate(rows):
-        table[i, :len(row)] = row
-    return table
+    two zeros.  Each unsigned string is at most WIDTH - 1 long."""
+    p = np.arange(WIDTH - 1)                # the position in the unsigned string
+    n = np.arange(1, _NDIG + 1)
+    # positional, rows (X, n): digit i stands for 10^(X - i), the string runs
+    # from 10^max(X, 0) down to 10^min(X - n + 1, -1), the point after 10^0
+    x = np.repeat(_X_POS, _NDIG)[:, None]
+    nx = np.tile(n, len(_X_POS))[:, None]
+    top = np.maximum(x, 0)
+    e = top - p + (p > top)                 # the power of ten at p
+    positional = np.select(
+        [p == top + 1, e < np.minimum(x - nx + 1, -1), (x - e >= 0) & (x - e < nx)],
+        [_DOT, _NUL, x - e], _ZERO)
+    # exponential, rows (exponent width, n): the mantissa d[.ddd] is m long
+    width = np.repeat([2, 3], _NDIG)[:, None]
+    m = np.tile(n + (n > 1), 2)[:, None]
+    exponential = np.select(
+        [p < m, p == m, p == m + 1, p < m + 2 + width],
+        [np.where(p == 1, _DOT, np.maximum(p - 1, 0)), _E, _EXP_SIGN,
+         _EXP_DIGITS + 1 - width - m + p], _NUL)
+    zero = np.select([p == 1, p < 3], [_DOT, _ZERO], _NUL)[None]     # 0.0
+    return np.concatenate([
+        np.pad(body, ((0, 0), (pad, 1 - pad)), constant_values=(_MINUS, _NUL))
+        for body in (positional, exponential, zero) for pad in (0, 1)]).astype(np.int32)
 
 
 # the tables, built once, when the module is first imported: only a JSON

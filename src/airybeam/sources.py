@@ -61,6 +61,7 @@ _SUM_RULE_TOL = 5e-3        # tail cut, as a fraction of the sum-rule value
 # leave double range in rho^3 of j_z or in the powers of eps
 _SCALED_DISTANCE_MAX = 1e100
 _ALPHA_MAX = (_SCALED_DISTANCE_MAX / 2.0) ** 0.25  # keeps the shift 2 alpha^4 below it
+_LOG_DBL_MIN = math.log(np.finfo(float).tiny)      # e^x is subnormal or 0 below it
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,21 @@ SourceModel = PointSource | GaussianSource
 
 @dataclass(frozen=True)
 class GaussianScaled:
-    """Dimensionless view of a Gaussian source at one energy (and point).
+    """Dimensionless view of a Gaussian source at one energy (and point),
+    the one scaling every Gaussian evaluator reads.
 
-    log_weight is ln Lambda(eps~); the weight itself overflows for wide
-    sources, so only the log is stored.  zeta_tilde/rho_tilde are present
-    when an evaluation point was supplied.  Every field but alpha is an
-    array when the energy or the point was.
+    epsilon is the unshifted -2 beta E, and log_weight is ln Lambda(eps~);
+    the weight itself overflows for wide sources, so only the log is
+    stored.  point, the scaled (xi, nu_y, zeta) of ``scale_point``, and
+    zeta_tilde/rho_tilde are present when an evaluation point was supplied.
+    Every field but alpha is an array when the energy or the point was.
     """
 
     alpha: float
+    epsilon: float | np.ndarray
     epsilon_tilde: float | np.ndarray
     log_weight: float | np.ndarray
+    point: tuple | None = None
     zeta_tilde: float | np.ndarray | None = None
     rho_tilde: float | np.ndarray | None = None
 
@@ -160,16 +165,16 @@ def gaussian_scaled(
     if not alpha <= _ALPHA_MAX:
         raise RangeError(f"gaussian_scaled: alpha = beta F a = {alpha:.3g} is beyond "
                          f"{_ALPHA_MAX:.3g}, out of double range")
-    eps_t = _scaled_energy("gaussian_scaled", sys, energy) + 4.0 * alpha**4
+    eps = _scaled_energy("gaussian_scaled", sys, energy)
+    eps_t = eps + 4.0 * alpha**4
     log_w = _log_strength(sys, src) + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
     if r is None:
-        return GaussianScaled(alpha, eps_t[()], log_w[()])
-    p = sys.scale_point(r)
-    zt = p.zeta + 2.0 * alpha**4
-    _require_scaled_distance("gaussian_scaled", p.xi, p.nu_y, zt)
-    rt = np.sqrt(p.xi**2 + p.nu_y**2 + zt**2)
-    return GaussianScaled(alpha, eps_t[()], log_w[()], zeta_tilde=zt[()],
-                          rho_tilde=rt[()])
+        return GaussianScaled(alpha, eps[()], eps_t[()], log_w[()])
+    xi, nu, zeta = point = sys.scale_point(r)
+    zt = zeta + 2.0 * alpha**4
+    _require_scaled_distance("gaussian_scaled", xi, nu, zt)
+    rt = np.sqrt(xi**2 + nu**2 + zt**2)
+    return GaussianScaled(alpha, eps[()], eps_t[()], log_w[()], point, zt[()], rt[()])
 
 
 def _log_strength(sys: PhysicalSystem, src: GaussianSource) -> float:
@@ -262,8 +267,7 @@ def _jz_shape(xi, nu, zeta, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     """Current density j_z (1/(m^2 s) times |C|^2 units) of the delta source."""
-    p = sys.scale_point(r)
-    shape, flat = _flat(p.xi, p.nu_y, p.zeta,
+    shape, flat = _flat(*sys.scale_point(r),
                         _scaled_energy("current_density_point", sys, energy))
     mant, s, _ = _jz_shape(*flat)
     pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
@@ -276,11 +280,14 @@ def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     """Total emitted current J(E) of the delta source; positive for every E.
 
     Below threshold (E < 0) this is the tunneling tail: the closed form is
-    entire in E and simply decays.
+    entire in E and simply decays; where the bracket e^(m - 2 s) alone is
+    subnormal or 0, the prefactor joins its exponent.
     """
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
     m, s = airy.airy_bracket_scaled(_scaled_energy("total_current_point", sys, energy))
-    return pref * np.exp(m - 2.0 * s)
+    with np.errstate(divide="ignore"):          # pref underflows to 0 for a tiny |C|^2
+        return np.where(m - 2.0 * s < _LOG_DBL_MIN, np.exp(np.log(pref) + (m - 2.0 * s)),
+                        pref * np.exp(m - 2.0 * s))[()]
 
 
 # ----------------------------------------------------------------------------
@@ -315,10 +322,9 @@ def psi_gauss_far(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """
     g = gaussian_scaled(sys, src, energy, r)
     _require_far_field(g, "psi_gauss_far")
-    p = sys.scale_point(r)
+    xi, nu, zeta = g.point
     shape, (lateral, zeta, zt, rt, eps_t, eps) = _flat(
-        p.xi * p.xi + p.nu_y * p.nu_y, p.zeta, g.zeta_tilde, g.rho_tilde,
-        g.epsilon_tilde, sys.scale_energy(energy))
+        xi * xi + nu * nu, zeta, g.zeta_tilde, g.rho_tilde, g.epsilon_tilde, g.epsilon)
     delta = _airy_offset(lateral, rt, zt)
     ap = eps - 2.0 * zeta - delta
     if np.any(ap >= airy.X_SCALED_MAX):
@@ -383,9 +389,8 @@ def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
     """Far-field current density: the point formula with tilde-shifted arguments."""
     g = gaussian_scaled(sys, src, energy, r)
     _require_far_field(g, "current_density_gauss")
-    p = sys.scale_point(r)
-    shape, (xi, nu, zt, eps_t, eps) = _flat(p.xi, p.nu_y, g.zeta_tilde, g.epsilon_tilde,
-                                            sys.scale_energy(energy))
+    xi, nu, _ = g.point
+    shape, (xi, nu, zt, eps_t, eps) = _flat(xi, nu, g.zeta_tilde, g.epsilon_tilde, g.epsilon)
     mant, s, delta = _jz_shape(xi, nu, zt, eps_t)
     # |Lambda|^2 e^(-2 s) m (beta F)^3 / (2 pi hbar^3), assembled in log space
     log_pref = (2.0 * _log_strength(sys, src)
@@ -413,7 +418,7 @@ def total_current_gauss(sys: PhysicalSystem, src: GaussianSource, energy):
         + 3.0 * math.log(g.alpha)
         + math.log(sys.beta)
     )
-    shape, (eps, eps_t) = _flat(sys.scale_energy(energy), g.epsilon_tilde)
+    shape, (eps, eps_t) = _flat(g.epsilon, g.epsilon_tilde)
     m, s = airy.airy_bracket_scaled(eps_t)
     tail = m + _gauss_exponent(g.alpha, eps, np.zeros_like(eps), s)
     return _times_exp("total_current_gauss", 1.0, log_pref + tail).reshape(shape)[()]

@@ -246,6 +246,21 @@ def test_bracket_positive_everywhere():
         assert math.isfinite(airy_bracket_log(float(x)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e6, 2.0**20), st.floats(0.01, 1.0))
+def test_bracket_scaled_positive_property(x, step):
+    # the bracket is the integral of Ai^2 over (x, inf): its mantissa e^m is
+    # a finite positive double, s >= 0, and e^(m - 2 s) > 0 decreases with x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, s = airy_bracket_scaled(x)
+        m2, s2 = airy_bracket_scaled(min(x + step * max(1.0, abs(x)), 2.0**20))
+    assert math.isfinite(m) and math.isfinite(s) and s >= 0.0
+    assert 0.0 < math.exp(m) < math.inf
+    if x < 2.0**20:
+        assert m2 - 2.0 * s2 < m - 2.0 * s
+
+
 def test_anchor_table_is_the_generator_output():
     # reruns tools/airy_anchors.py (mpmath) and compares every double
     generator = runpy.run_path(str(GENERATOR))

@@ -103,11 +103,13 @@ def test_detector_image_rotational_symmetry():
     assert_allclose(img.pixels, img.pixels[::-1, :], rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("make", [o_minus, rb_atom_laser], ids=["o-minus", "rb-atom-laser"])
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+@pytest.mark.parametrize("make", [o_minus, rb_atom_laser, s_minus],
+                         ids=["o-minus", "rb-atom-laser", "s-minus"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64, 257, 333, 1024])
 def test_detector_image_mirror_equals_direct_build(make, n):
     # the mirrored quadrant against interpolation at all n^2 pixel centres
-    # on the same radial grid, bit for bit
+    # on the same radial grid, bit for bit; from n = 257 on, the quadrant
+    # spans several row blocks, each copied transposed below the diagonal
     preset = make()
     img = detector_image(preset, resolution=n)
     energy, z = preset.plane

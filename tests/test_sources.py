@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -19,7 +19,7 @@ from airybeam.green import green_closed
 from airybeam.scaling import (ELECTRON_MASS, energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
                               make_system)
-from airybeam.scenarios import detector_half_width, o_minus, rb_atom_laser
+from airybeam.scenarios import detector_half_width, o_minus, rb_atom_laser, s_minus
 from airybeam.sources import (GaussianSource, PointSource,
                               current_density_gauss, current_density_point,
                               equivalent_point_strength, gaussian_scaled,
@@ -38,6 +38,8 @@ AIRY_ZEROS = [-2.33810741045976704, -4.08794944413097061, -5.52055982809555106]
 # ~2.6e10 rad, so double precision carries an irreducible ~1e-4 relative
 # phase error; the tolerance reflects conditioning, not formula accuracy.
 PSI_O_ON_AXIS = complex(4.5946084393139963e38, 1.2834329779288969e38)
+
+LOG_DBL_MIN = math.log(np.finfo(float).tiny)   # a double below e^this is subnormal
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +70,12 @@ def test_gaussian_scaled_shift_identities(rb_system):
     src = GaussianSource(0.4e-6, 2 * math.pi * 100.0)
     e = energy_from_frequency(1.2e3)
     g = gaussian_scaled(rb_system, src, e, (0.0, 0.0, 1e-3))
-    p = rb_system.scale_point((0.0, 0.0, 1e-3))
+    _, _, zeta = point = rb_system.scale_point((0.0, 0.0, 1e-3))
     eps = -2 * rb_system.beta * e
-    assert_allclose(g.zeta_tilde - p.zeta, 2 * g.alpha**4, rtol=1e-12)
+    assert g.point == point and g.epsilon == rb_system.scale_energy(e)
+    assert_allclose(g.zeta_tilde - zeta, 2 * g.alpha**4, rtol=1e-12)
     assert_allclose(g.epsilon_tilde - eps, 4 * g.alpha**4, rtol=1e-12)
-    assert_allclose(g.zeta_tilde - p.zeta, (g.epsilon_tilde - eps) / 2, rtol=1e-12)
+    assert_allclose(g.zeta_tilde - zeta, (g.epsilon_tilde - eps) / 2, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +412,9 @@ def _mp_gauss_far(sys, src, energy, x, z):
     with mp.workdps(60):
         alpha = mp.mpf(sys.beta_f * src.width)
         et = mp.mpf(float(sys.scale_energy(energy))) + 4 * alpha**4
-        p = sys.scale_point((x, 0.0, z))
-        zt = mp.mpf(float(p.zeta)) + 2 * alpha**4
-        rt = mp.sqrt(mp.mpf(float(p.xi))**2 + zt**2)
+        xi, _, zeta = sys.scale_point((x, 0.0, z))
+        zt = mp.mpf(float(zeta)) + 2 * alpha**4
+        rt = mp.sqrt(mp.mpf(float(xi))**2 + zt**2)
         am, ap = et - zt + rt, et - zt - rt
         # ln Lambda: the weight hbar Omega (2 sqrt(pi) a)^(3/2) e^(2 alpha^2 (eps~ - 4 alpha^4/3))
         log_w = (mp.log(mp.mpf(sys.hbar) * mp.mpf(src.coupling))
@@ -464,6 +467,76 @@ def test_gauss_observables_finite_at_any_width(log_width, nu, frac):
     assert np.all(np.isfinite(jz)) and np.all(jz >= 0.0)
     assert math.isfinite(j_total) and j_total > 0.0
     assert np.all(np.isfinite(psi))
+
+
+def _log_bracket_floor(x):
+    """A floor under ln(Ai'(x)^2 - x Ai(x)^2): the bracket decreases with x,
+    and from x = 20 on its log is -4/3 x^1.5 - ln(8 pi x) to within 0.008
+    below (checked against 60-digit mpmath up to x = 1e6)."""
+    x = max(x, 20.0)
+    return -4.0 / 3.0 * x**1.5 - math.log(8.0 * math.pi * x) - 0.01
+
+
+def _signed_log_uniform(lo_exp, hi_exp):
+    """Floats of either sign with magnitudes log-uniform in 10^[lo_exp, hi_exp]."""
+    return st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([-1.0, 1.0]),
+                     st.floats(lo_exp, hi_exp))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(make=st.sampled_from([s_minus, o_minus]),
+       eps=st.one_of(st.floats(-1e6, 2.0**20), st.floats(0.0, 120.0)))
+@example(make=s_minus, eps=75.0)
+def test_total_current_point_positive_property(make, eps):
+    # finite and >= 0 at every scaled energy eps = -2 beta E; > 0 wherever
+    # ln J stays above ln(DBL_MIN), so only deep tunnelling underflows
+    preset = make()
+    sys = preset.system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = total_current_point(sys, preset.source, sys.unscale_energy(eps))
+    assert math.isfinite(j) and j >= 0.0
+    log_pref = math.log(2.0 * sys.mass * sys.beta * sys.force / sys.hbar**3)
+    if log_pref + _log_bracket_floor(eps) > LOG_DBL_MIN:
+        assert j > 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(log_width=st.floats(math.log(0.05e-6), math.log(100e-6)),
+       omega_hz=st.floats(1.0, 1e4), nu=_signed_log_uniform(-3.0, 9.0))
+def test_total_current_slicing_positive_property(log_width, omega_hz, nu):
+    # J_sp = pref e^(-eps^2/(4 alpha^2)): finite and >= 0 at every detuning,
+    # > 0 wherever its log stays above ln(DBL_MIN); the far tails underflow
+    preset = replace(rb_atom_laser(), width=math.exp(log_width),
+                     coupling=2.0 * math.pi * omega_hz)
+    sys, src = preset.system, preset.source
+    energy = energy_from_frequency(nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = total_current_slicing(sys, src, energy)
+    assert math.isfinite(j) and j >= 0.0
+    alpha, eps = sys.beta_f * src.width, float(sys.scale_energy(energy))
+    log_j = (math.log(2.0 * math.sqrt(math.pi) * sys.hbar * src.coupling**2 * sys.beta / alpha)
+             - eps**2 / (4.0 * alpha**2))
+    if log_j > LOG_DBL_MIN:
+        assert j > 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(log_alpha=st.floats(math.log(1e-7), math.log(1e-4)))
+def test_gaussian_tends_to_point_source_property(unit_system, log_alpha):
+    # J, j_z and psi_far of the Gaussian against the delta source of strength
+    # equivalent_point_strength, within the point-source-limit budget 1e-6;
+    # beta F = 1, so alpha is the width
+    src = GaussianSource(math.exp(log_alpha), 2.0)
+    psrc = PointSource(equivalent_point_strength(unit_system, src))
+    e, r = 0.7, (0.4, -0.2, 1.1)
+    pairs = ((total_current_gauss(unit_system, src, e), total_current_point(unit_system, psrc, e)),
+             (current_density_gauss(unit_system, src, r, e),
+              current_density_point(unit_system, psrc, r, e)),
+             (psi_gauss_far(unit_system, src, r, e), psi_point(unit_system, psrc, r, e)))
+    for gauss, point in pairs:
+        assert abs(gauss / point - 1.0) <= 1e-6
 
 
 def test_total_current_gauss_overflow_guard(unit_system):
