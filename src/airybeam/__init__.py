@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # each public name, by the module that defines it
 _EXPORTS = {
     "airy": ("ComplexAiryPair", "airy_all"),
-    "errors": ("ConvergenceError", "DomainError", "RangeError", "UnsupportedModelError"),
+    "errors": ("ConvergenceError", "DomainError", "RangeError"),
     "green": ("GreenValue", "green_closed", "green_oracle"),
     "output": ("RasterImage", "ScanResult", "write_csv", "write_json", "write_pgm"),
     "scaling": ("ELECTRON_MASS", "G_EARTH", "HBAR", "RB87_MASS", "PhysicalSystem",

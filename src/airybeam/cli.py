@@ -26,7 +26,7 @@ import re
 import sys as _sys
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, RangeError
 
 # The subcommands call the package's public names as module globals.  They
 # are bound only once a command that computes has been parsed
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
         detail = f" (error estimate {est:.3e})" if est is not None else ""
         print(f"airybeam: numerical failure: {exc}{detail}", file=_sys.stderr)
         return 1
-    except (DomainError, UnsupportedModelError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"airybeam: {exc}", file=_sys.stderr)
         return 1
     except MemoryError as exc:

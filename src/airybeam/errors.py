@@ -18,7 +18,3 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-class UnsupportedModelError(ValueError):
-    """A source model is incompatible with the requested operation."""

@@ -16,8 +16,10 @@ under which the far field is exactly a point source displaced upstream by
 
     Lambda(eps~) = hbar*Omega*(2 sqrt(pi) a)^(3/2) * exp(2 alpha^2 (eps~ - 4 alpha^4/3)).
 
-Exponential weights are combined in log space throughout: for wide sources
-Lambda overflows while every physical observable stays moderate.
+Every observable is assembled by one rule, ``_times_exp``, as pref * mant *
+e^exponent with its weights combined in log space: for wide sources Lambda
+overflows while every observable stays moderate, and in deep tunnelling
+e^exponent alone underflows while the observable is still a double.
 
 The closed forms take arrays: the components of ``r`` and the energy
 broadcast against each other, and scalars in give scalars out.  The sum rule
@@ -38,7 +40,7 @@ from . import airy
 # stay bound because perfbench/tracing.py wraps them by name, and its
 # per-call counter needs a scalar argument.
 from .airy import airy_all, airy_bracket_log, airy_scaled  # noqa: F401
-from .errors import ConvergenceError, DomainError, RangeError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, RangeError
 from .green import _bracket_scaled, _g_time_scaled, green_closed
 # bound as ``quad`` so that instrumentation can wrap it (perfbench/tracing.py)
 from .quadrature import gauss_kronrod as quad
@@ -113,13 +115,18 @@ class GaussianScaled:
     rho_tilde: float | np.ndarray | None = None
 
 
-def _times_exp(what: str, mant, exponent):
-    """mant * exp(exponent); RangeError if that leaves double range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = mant * np.exp(exponent)
+def _times_exp(what: str, mant, exponent, pref=1.0):
+    """pref * mant * e^exponent: (pref * mant) * e^exponent where e^exponent is
+    normal, mant * e^(ln pref + exponent) where it alone is subnormal or 0 (so
+    pref never scales a flushed value); RangeError where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = pref * mant * np.exp(exponent)
+        low = exponent < _LOG_DBL_MIN
+        if np.any(low):                           # ln 0 = -inf for a pref that underflowed
+            value = np.where(low, mant * np.exp(np.log(pref) + exponent), value)
     if not np.all(np.isfinite(value)):
-        raise RangeError(f"{what}: exponent {np.max(exponent):.1f} overflows "
-                         "double range")
+        raise RangeError(f"{what}: exponent {np.max(exponent):.1f} with prefactor "
+                         f"{pref:.3g} leaves double range")
     return value
 
 
@@ -208,15 +215,16 @@ def _gauss_exponent(alpha: float, eps, delta, s) -> np.ndarray:
 def source_amplitude(sys: PhysicalSystem, src: SourceModel, r) -> float:
     """sigma(r) for a Gaussian source (the delta source has no pointwise value)."""
     if isinstance(src, PointSource):
-        raise UnsupportedModelError("a delta source has no pointwise amplitude")
+        raise DomainError("a delta source has no pointwise amplitude")
     r2 = r[0] ** 2 + r[1] ** 2 + r[2] ** 2
     n0 = src.width**-1.5 * math.pi**-0.75
-    return sys.hbar * src.coupling * n0 * math.exp(-r2 / (2.0 * src.width**2))
+    return _times_exp("source_amplitude", n0, -r2 / (2.0 * src.width**2),
+                      sys.hbar * src.coupling)[()]
 
 
 def equivalent_point_strength(sys: PhysicalSystem, src: GaussianSource) -> float:
     """Point-source strength C = hbar*Omega*(2 sqrt(pi) a)^(3/2) of the a -> 0 limit."""
-    return sys.hbar * src.coupling * (2.0 * math.sqrt(math.pi) * src.width) ** 1.5
+    return _times_exp("equivalent_point_strength", 1.0, _log_strength(sys, src))[()]
 
 
 def virtual_source_shift(sys: PhysicalSystem, src: GaussianSource) -> float:
@@ -270,24 +278,19 @@ def current_density_point(sys: PhysicalSystem, src: PointSource, r, energy):
     shape, flat = _flat(*sys.scale_point(r),
                         _scaled_energy("current_density_point", sys, energy))
     mant, s, _ = _jz_shape(*flat)
-    pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (
-        2.0 * math.pi * sys.hbar**3
-    )
-    return (pref * mant * np.exp(-2.0 * s)).reshape(shape)[()]
+    pref = abs(src.strength) ** 2 * sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3)
+    return _times_exp("current_density_point", mant, -2.0 * s, pref).reshape(shape)[()]
 
 
 def total_current_point(sys: PhysicalSystem, src: PointSource, energy):
     """Total emitted current J(E) of the delta source; positive for every E.
 
     Below threshold (E < 0) this is the tunneling tail: the closed form is
-    entire in E and simply decays; where the bracket e^(m - 2 s) alone is
-    subnormal or 0, the prefactor joins its exponent.
+    entire in E and simply decays, as the bracket e^(m - 2 s).
     """
     pref = 2.0 * abs(src.strength) ** 2 * sys.mass * sys.beta * sys.force / sys.hbar**3
     m, s = airy.airy_bracket_scaled(_scaled_energy("total_current_point", sys, energy))
-    with np.errstate(divide="ignore"):          # pref underflows to 0 for a tiny |C|^2
-        return np.where(m - 2.0 * s < _LOG_DBL_MIN, np.exp(np.log(pref) + (m - 2.0 * s)),
-                        pref * np.exp(m - 2.0 * s))[()]
+    return _times_exp("total_current_point", 1.0, m - 2.0 * s, pref)[()]
 
 
 # ----------------------------------------------------------------------------
@@ -382,7 +385,7 @@ def psi_gauss_quadrature(
             estimate=near_err + far_err,
         )
     log_si = math.log(sys.beta * sys.beta_f**3)
-    return (2.0 * near + far) * math.exp(g.log_weight + log_si)
+    return complex(_times_exp("psi_gauss_quadrature", 2.0 * near + far, g.log_weight + log_si))
 
 
 def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
@@ -438,8 +441,9 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     if not (alpha**2 > 0.0 and math.isfinite(pref)):
         raise RangeError(f"total_current_slicing: alpha = beta F a = {alpha:.3g} is so "
                          "small that alpha^2 or J_sp ~ 1/alpha leaves double range")
-    with np.errstate(over="ignore"):          # |eps| >> alpha: exp(-inf) = 0
-        return (pref * np.exp(-(eps**2) / (4.0 * alpha**2)))[()]
+    with np.errstate(over="ignore"):          # |eps| >> alpha: an exponent of -inf
+        exponent = -(eps**2) / (4.0 * alpha**2)
+    return _times_exp("total_current_slicing", 1.0, exponent, pref)[()]
 
 
 def sum_rule_check(
@@ -454,10 +458,8 @@ def sum_rule_check(
     the marginal tail contribution drops below ``_SUM_RULE_TOL`` * rhs / 20.
     """
     if isinstance(src, PointSource):
-        raise UnsupportedModelError(
-            "sum_rule_check: the delta source has no square-integrable norm, "
-            "so the total-current sum rule does not apply to it"
-        )
+        raise DomainError("sum_rule_check: the delta source has no square-integrable "
+                          "norm, so the total-current sum rule does not apply to it")
     rhs = 2.0 * math.pi * sys.hbar * _coupling_squared("sum_rule_check", src)
 
     def j_eps(eps):

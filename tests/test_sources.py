@@ -13,8 +13,7 @@ from scipy.special import airy as scipy_airy
 
 import airybeam.sources
 from airybeam.airy import airy_all
-from airybeam.errors import (ConvergenceError, DomainError, RangeError,
-                             UnsupportedModelError)
+from airybeam.errors import ConvergenceError, DomainError, RangeError
 from airybeam.green import green_closed
 from airybeam.scaling import (ELECTRON_MASS, energy_from_ev,
                               energy_from_frequency, force_from_ev_per_m,
@@ -522,6 +521,61 @@ def test_total_current_slicing_positive_property(log_width, omega_hz, nu):
         assert j > 0.0
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(make=st.sampled_from([s_minus, o_minus]), lateral=st.floats(0.0, 1.0),
+       eps=st.one_of(st.floats(-1e3, 0.0), st.floats(0.0, 120.0)))
+@example(make=o_minus, lateral=0.0, eps=68.56)     # O- on axis at E = -1.3 meV
+def test_current_density_point_positive_property(make, lateral, eps):
+    # j_z on the detector plane, out to its image half-width and into deep
+    # tunnelling (eps = -2 beta E up to 120): finite and >= 0, and > 0
+    # wherever ln j_z = ln pref + ln mant - 2 s stays above ln(DBL_MIN)
+    preset = make()
+    sys = preset.system
+    r = (lateral * detector_half_width(preset, None), 0.0, preset.detector_z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = current_density_point(sys, preset.source, r, sys.unscale_energy(eps))
+    assert math.isfinite(j) and j >= 0.0
+    mant, s, _ = airybeam.sources._jz_shape(
+        *(np.array([c]) for c in (*sys.scale_point(r), eps)))
+    log_pref = math.log(preset.strength2 * sys.mass * sys.beta_f**3
+                        / (2.0 * math.pi * sys.hbar**3))
+    if mant[0] > 0.0 and log_pref + math.log(mant[0]) - 2.0 * s[0] > LOG_DBL_MIN:
+        assert j > 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nu=st.floats(11.4e3, 11.7e3), sign=st.sampled_from([-1.0, 1.0]))
+@example(nu=11662.5, sign=-1.0)          # a row of `transition`: J_sp ~ 1.9e-321
+def test_total_current_slicing_subnormal_matches_mpmath(nu, sign):
+    # the 0.2 um slicing curve of `transition` where J_sp crosses into the
+    # subnormals: within 2 subnormal spacings of 40-digit mpmath, plus the
+    # relative error 1e-14 + 4 |x| 2^-53 of its exponent x = -eps^2/(4 alpha^2),
+    # itself a double of magnitude ~715 whose last unit is 1.1e-13
+    preset = replace(rb_atom_laser(), width=0.2e-6)
+    sys, src = preset.system, preset.source
+    energy = energy_from_frequency(sign * nu)
+    j = total_current_slicing(sys, src, energy)
+    eps, alpha = float(sys.scale_energy(energy)), sys.beta_f * src.width
+    with mp.workdps(40):
+        x = -mp.mpf(eps)**2 / (4 * mp.mpf(alpha)**2)
+        want = (2 * mp.sqrt(mp.pi) * mp.mpf(sys.hbar) * mp.mpf(src.coupling)**2
+                * mp.mpf(sys.beta) / mp.mpf(alpha) * mp.exp(x))
+        err = abs(mp.mpf(float(j)) - want)
+        assert err <= 2 * mp.mpf(2)**-1074 + (1e-14 + 4 * abs(x) * mp.mpf(2)**-53) * want
+        if want >= np.finfo(float).tiny:
+            assert err <= (1e-14 + 4 * abs(x) * mp.mpf(2)**-53) * want
+
+
+def test_psi_gauss_quadrature_at_rb_plane_raises_range_error():
+    # the Rb preset's own plane (z = 1 mm, rho~ ~ 2600): the weight
+    # e^(ln Lambda + ln beta (beta F)^3) leaves double range
+    preset = rb_atom_laser()
+    energy, z = preset.plane
+    with pytest.raises(RangeError, match="psi_gauss_quadrature"):
+        psi_gauss_quadrature(preset.system, preset.source, (0.0, 0.0, z), energy)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(log_alpha=st.floats(math.log(1e-7), math.log(1e-4)))
 def test_gaussian_tends_to_point_source_property(unit_system, log_alpha):
@@ -666,7 +720,7 @@ def test_sum_rule_window_extension_is_bounded(rb_system, monkeypatch):
 
 
 def test_sum_rule_rejects_point_source(rb_system):
-    with pytest.raises(UnsupportedModelError, match="square-integrable"):
+    with pytest.raises(DomainError, match="square-integrable"):
         sum_rule_check(rb_system, PointSource(1.0), (-1e-30, 1e-30))
 
 

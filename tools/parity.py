@@ -102,6 +102,12 @@ def calls() -> list[Call]:
         for fmt in ("pgm", "json"):
             add("detector-image", "--preset", "rb-atom-laser", "--width", w, "--n", 16,
                 "--format", fmt, "-o", f"di-wide-{w}.{fmt}", outdir=True)
+    add("density-profile", "--preset", "o-minus", "--energy", "-1.3meV", "--n", 51,
+        "-o", "dp-tunnel.csv", outdir=True)
+    add("detector-image", "--preset", "o-minus", "--energy", "-1.3meV", "--n", 16,
+        "-o", "di-tunnel.pgm", outdir=True)
+    add("total-current", "--preset", "s-minus", "--emin", "-19meV", "--emax", "-18meV",
+        "--n", 50, "-o", "tc-tunnel.csv", outdir=True)
     add("validate", "--suite", "flux", outdir=True)
     # its overlay step
     overlays = (_OV_HZ, _OV_J, _OV_BOM)
