@@ -258,11 +258,8 @@ def _write_overlay_pair(args, model_fn) -> None:
 
 def _cmd_total_current(args, preset) -> int:
     result = total_current_scan(preset, grid(*preset.scan_window, args.n))
-    summary = ""
-    if isinstance(preset, AtomLaserPreset):
-        lhs, rhs = sum_rule_check(preset.system, preset.source,
-                                  tuple(map(energy_from_frequency, preset.scan_window)))
-        summary = f", sum-rule ratio {lhs / rhs:.6f}"
+    ratio = preset.sum_rule_ratio()
+    summary = "" if ratio is None else f", sum-rule ratio {ratio:.6f}"
     _write(result, args)
     _write_overlay_pair(args, lambda xs: total_current_scan(preset, xs).values)
     ipk = int(result.values.argmax())

@@ -13,9 +13,9 @@ Absolute point-source currents carry the arbitrary |C|^2 normalization;
 these presets default it to 1 and expose it as a plain scale factor.
 
 Each preset answers ``plane`` (energy J and plane z m of images and
-profiles), ``current_density(r, E)``, ``total_current(E)`` and its
-``scan_window``, so each observable below is one function for both kinds
-of preset; each hands its whole grid to the source layer in one call.
+profiles), ``current_density(r, E)``, ``total_current(E)``, ``scan_window``,
+``emitter_plane(E, z)`` and ``sum_rule_ratio()``: each observable below is
+one function for both kinds, and hands its grid to the sources in one call.
 """
 
 from __future__ import annotations
@@ -91,6 +91,12 @@ class PhotodetachmentPreset:
     def total_current(self, energy):
         return total_current_point(self.system, self.source, energy)
 
+    def emitter_plane(self, energy, z):
+        return self.system.scale_energy(energy), self.system.beta_f * z
+
+    def sum_rule_ratio(self):
+        return None                # the delta source has no sum rule
+
 
 @dataclass(frozen=True)
 class AtomLaserPreset:
@@ -138,6 +144,16 @@ class AtomLaserPreset:
 
     def total_current(self, energy):
         return total_current_gauss(self.system, self.source, energy)
+
+    def emitter_plane(self, energy, z):
+        g = gaussian_scaled(self.system, self.source, energy, (0.0, 0.0, z))
+        return g.epsilon_tilde, g.zeta_tilde      # of the virtual point source
+
+    def sum_rule_ratio(self) -> float:
+        """Integral of J from the detuning window outward / 2 pi hbar Omega^2."""
+        lhs, rhs = sum_rule_check(self.system, self.source,
+                                  tuple(map(energy_from_frequency, self.scan_window)))
+        return lhs / rhs
 
 
 @dataclass(frozen=True)
@@ -205,29 +221,22 @@ def grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def photodetachment_cross_section(
-    preset: PhotodetachmentPreset, energies
-) -> ScanResult:
-    """Total current J(E) over an energy grid, |C|^2-scaled."""
-    energies = np.asarray(energies, dtype=float)
-    meta = {"species": preset.species, "field_eV_per_m": preset.field_ev_per_m,
-            "mass_kg": preset.mass, "strength2": preset.strength2,
-            "beta": preset.system.beta}
-    return ScanResult(energies, preset.total_current(energies), xlabel="energy_J",
-                      ylabel="current_per_s", meta=meta)
-
-
 def total_current_scan(preset, abscissa) -> ScanResult:
-    """J over the preset's scan axis: ``photodetachment_cross_section`` over
-    energies (J), or J over detunings (Hz) for the atom laser."""
-    if isinstance(preset, PhotodetachmentPreset):
-        return photodetachment_cross_section(preset, abscissa)
-    nus = np.asarray(abscissa, dtype=float)
+    """J over the preset's scan axis: over energies (J), |C|^2-scaled, for
+    photodetachment, or over detunings (Hz) for the atom laser."""
+    xs = np.asarray(abscissa, dtype=float)
     sys = preset.system
+    if isinstance(preset, PhotodetachmentPreset):
+        meta = {"species": preset.species, "field_eV_per_m": preset.field_ev_per_m,
+                "mass_kg": preset.mass, "strength2": preset.strength2, "beta": sys.beta}
+        return ScanResult(xs, preset.total_current(xs), "energy_J", "current_per_s", meta)
     meta = {"width_m": preset.width, "coupling_rad_per_s": preset.coupling,
             "beta": sys.beta, "alpha": sys.beta_f * preset.width}
-    return ScanResult(nus, preset.total_current(energy_from_frequency(nus)),
+    return ScanResult(xs, preset.total_current(energy_from_frequency(xs)),
                       "nu_Hz", "current_per_s", meta)
+
+
+photodetachment_cross_section = total_current_scan   # its former name; perfbench reads it
 
 
 def detector_half_width(preset, half_width: float | None) -> float:

@@ -174,7 +174,8 @@ def gaussian_scaled(
                          f"{_ALPHA_MAX:.3g}, out of double range")
     eps = _scaled_energy("gaussian_scaled", sys, energy)
     eps_t = eps + 4.0 * alpha**4
-    log_w = _log_strength(sys, src) + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0)
+    log_w = (_log_strength("gaussian_scaled", sys, src)
+             + 2.0 * alpha**2 * (eps_t - 4.0 * alpha**4 / 3.0))
     if r is None:
         return GaussianScaled(alpha, eps[()], eps_t[()], log_w[()])
     xi, nu, zeta = point = sys.scale_point(r)
@@ -184,11 +185,11 @@ def gaussian_scaled(
     return GaussianScaled(alpha, eps[()], eps_t[()], log_w[()], point, zt[()], rt[()])
 
 
-def _log_strength(sys: PhysicalSystem, src: GaussianSource) -> float:
+def _log_strength(what: str, sys: PhysicalSystem, src: GaussianSource) -> float:
     """ln hbar*Omega*(2 sqrt(pi) a)^(3/2), Lambda without its exponential."""
     hbar_omega = sys.hbar * src.coupling
     if not hbar_omega > 0.0:
-        raise RangeError(f"gaussian_scaled: hbar Omega underflows to 0 at "
+        raise RangeError(f"{what}: hbar Omega underflows to 0 at "
                          f"Omega = {src.coupling:g} rad/s")
     return math.log(hbar_omega) + 1.5 * math.log(2.0 * math.sqrt(math.pi) * src.width)
 
@@ -224,7 +225,8 @@ def source_amplitude(sys: PhysicalSystem, src: SourceModel, r) -> float:
 
 def equivalent_point_strength(sys: PhysicalSystem, src: GaussianSource) -> float:
     """Point-source strength C = hbar*Omega*(2 sqrt(pi) a)^(3/2) of the a -> 0 limit."""
-    return _times_exp("equivalent_point_strength", 1.0, _log_strength(sys, src))[()]
+    what = "equivalent_point_strength"
+    return _times_exp(what, 1.0, _log_strength(what, sys, src))[()]
 
 
 def virtual_source_shift(sys: PhysicalSystem, src: GaussianSource) -> float:
@@ -333,7 +335,7 @@ def psi_gauss_far(sys: PhysicalSystem, src: GaussianSource, r, energy):
     if np.any(ap >= airy.X_SCALED_MAX):
         raise RangeError(f"psi_gauss_far: a+ must stay below X_SCALED_MAX = 2^20, got {ap.max()}")
     mant, sp, sm = _bracket_scaled(ap, eps_t + delta)
-    exponent = (_log_strength(sys, src) + math.log(sys.beta * sys.beta_f**3)
+    exponent = (_log_strength("psi_gauss_far", sys, src) + math.log(sys.beta * sys.beta_f**3)
                 + 0.5 * _gauss_exponent(g.alpha, eps, delta, sm) + sp)
     return _times_exp("psi_gauss_far", (2.0 / rt) * mant, exponent).reshape(shape)[()]
 
@@ -396,7 +398,7 @@ def current_density_gauss(sys: PhysicalSystem, src: GaussianSource, r, energy):
     shape, (xi, nu, zt, eps_t, eps) = _flat(xi, nu, g.zeta_tilde, g.epsilon_tilde, g.epsilon)
     mant, s, delta = _jz_shape(xi, nu, zt, eps_t)
     # |Lambda|^2 e^(-2 s) m (beta F)^3 / (2 pi hbar^3), assembled in log space
-    log_pref = (2.0 * _log_strength(sys, src)
+    log_pref = (2.0 * _log_strength("current_density_gauss", sys, src)
                 + math.log(sys.mass * sys.beta_f**3 / (2.0 * math.pi * sys.hbar**3)))
     return _times_exp("current_density_gauss", mant,
                       log_pref + _gauss_exponent(g.alpha, eps, delta, s)).reshape(shape)[()]

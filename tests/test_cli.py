@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import airybeam
-from airybeam import cli, validation
+from airybeam import cli, scenarios, validation
 from airybeam.cli import main
 from airybeam.errors import DomainError
 from airybeam.output import RasterImage, ScanResult, write_csv, write_json, write_pgm
-from airybeam.scenarios import detector_image, lateral_profile, o_minus, rb_atom_laser
+from airybeam.scenarios import (AtomLaserPreset, detector_image, lateral_profile, o_minus,
+                                rb_atom_laser)
 
 
 def read_csv(path):
@@ -913,3 +915,90 @@ def test_record_replays_byte_identical(tmp_path, command, preset, fmt):
     (argv,) = {tuple(replay_argv(read_record(path))) for path in first.iterdir()}
     assert main([*argv, "-o", str(again / f"out.{fmt}")]) == 0
     assert _digests(again) == _digests(first)
+
+
+# ----------------------------------------------------------------------------
+# the CLI's outputs against 30-digit mpmath: 8 seeded rows of each CSV that
+# total-current, density-profile and atom-laser write at a preset's defaults,
+# recomputed from the preset's SI inputs, each within its budget in
+# ``_MP_OUTPUTS``, relative to the output's peak
+# ----------------------------------------------------------------------------
+
+def _mp_source(preset, energy):
+    """At 30 digits: beta, beta F, the Airy energy eps (or eps~), the shift of
+    zeta (0, or 2 alpha^4) and the weight w = |C|^2 (or |Lambda|^2) of the
+    preset's (virtual) point source at ``energy``."""
+    sys = preset.system
+    force, hbar = mp.mpf(sys.force), mp.mpf(sys.hbar)
+    beta = mp.cbrt(mp.mpf(sys.mass) / (4 * hbar**2 * force**2))
+    eps = -2 * beta * energy
+    if not isinstance(preset, AtomLaserPreset):
+        return beta, beta * force, eps, 0, mp.mpf(preset.strength2)
+    a = mp.mpf(preset.width)
+    alpha = beta * force * a
+    eps_t = eps + 4 * alpha**4
+    weight = ((hbar * mp.mpf(preset.coupling))**2 * (2 * mp.sqrt(mp.pi) * a)**3
+              * mp.exp(4 * alpha**2 * (eps_t - 4 * alpha**4 / 3)))
+    return beta, beta * force, eps_t, 2 * alpha**4, weight
+
+
+def _mp_energy(preset, x):
+    """The energy (J) of a scan abscissa: E itself, or 2 pi hbar nu."""
+    if isinstance(preset, AtomLaserPreset):
+        return 2 * mp.pi * mp.mpf(preset.system.hbar) * mp.mpf(x)
+    return mp.mpf(x)
+
+
+def _mp_total_current(preset, energy):
+    """J = 8 w beta (beta F)^3 / hbar [Ai'(e)^2 - e Ai(e)^2]: 2 |C|^2 m beta F
+    / hbar^3 [...] for a point source, and 64 pi^(3/2) hbar Omega^2 alpha^3
+    beta e^(4 alpha^2 (eps~ - 4 alpha^4/3)) [...] at eps~ for a Gaussian."""
+    beta, bf, e, _, weight = _mp_source(preset, energy)
+    bracket = mp.airyai(e, 1)**2 - e * mp.airyai(e)**2
+    return 8 * weight * beta * bf**3 / mp.mpf(preset.system.hbar) * bracket
+
+
+def _mp_current_density(preset, x):
+    """j_z(x, 0, z) on the preset's plane: w m (beta F)^3 / (2 pi hbar^3) rho^-3
+    {zeta Ai'(a)^2 + [zeta (zeta - e) + rho^2] Ai(a)^2}, a = e + rho - zeta,
+    in the tilde variables for a Gaussian."""
+    energy, z = preset.plane
+    if isinstance(preset, AtomLaserPreset):
+        energy = _mp_energy(preset, preset.profile_nu)
+    _, bf, e, shift, weight = _mp_source(preset, mp.mpf(energy))
+    xi, zeta = bf * mp.mpf(x), bf * mp.mpf(z) + shift
+    rho = mp.sqrt(xi**2 + zeta**2)
+    a = e + rho - zeta
+    shape = (zeta * mp.airyai(a, 1)**2 + (zeta * (zeta - e) + rho**2) * mp.airyai(a)**2) / rho**3
+    sys = preset.system
+    return weight * mp.mpf(sys.mass) * bf**3 / (2 * mp.pi * mp.mpf(sys.hbar)**3) * shape
+
+
+def _mp_remaining(preset, nu):
+    """N(T) = N0 e^(-J T) at detuning ``nu``."""
+    j = _mp_total_current(preset, _mp_energy(preset, nu))
+    return mp.mpf(preset.atom_count) * mp.exp(-j * mp.mpf(preset.operation_time))
+
+
+# each output's model and budget; the worst of all rows of the default
+# outputs is 7e-15 for J, 1.6e-14 for j_z (O-, zeta ~ 5.7e6) and 1.8e-15 for N
+_MP_OUTPUTS = {"total-current": (lambda p, x: _mp_total_current(p, _mp_energy(p, x)), 1e-13),
+               "density-profile": (_mp_current_density, 1e-12),
+               "atom-laser": (_mp_remaining, 1e-13)}
+
+
+@pytest.mark.parametrize("command,preset", [
+    *((command, preset) for command in ("total-current", "density-profile")
+      for preset in ("s-minus", "o-minus", "rb-atom-laser")),
+    ("atom-laser", "rb-atom-laser"),
+])
+def test_output_rows_match_mpmath(tmp_path, command, preset):
+    out = tmp_path / "out.csv"
+    assert main([command, "--preset", preset, "-o", str(out)]) == 0
+    xs, ys, _ = read_csv(out)
+    p = getattr(scenarios, preset.replace("-", "_"))()
+    model, budget = _MP_OUTPUTS[command]
+    for i in np.random.default_rng(20240501).choice(len(xs), 8, replace=False):
+        with mp.workdps(30):
+            want = float(model(p, xs[i]))
+        assert abs(ys[i] - want) <= budget * ys.max(), (xs[i], ys[i], want)

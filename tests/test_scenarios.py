@@ -11,8 +11,9 @@ from airybeam.scenarios import (atom_laser_depletion,
                                 current_transition_scan, detector_image,
                                 lateral_profile, o_minus,
                                 photodetachment_cross_section, rb_atom_laser,
-                                s_minus)
+                                s_minus, total_current_scan)
 from airybeam.sources import (current_density_gauss, current_density_point,
+                              gaussian_scaled, sum_rule_check,
                               total_current_gauss, total_current_point)
 from airybeam.validation import flux
 
@@ -306,3 +307,42 @@ def test_presets_answer_for_their_source_model():
         assert preset.total_current(energy) == j_total(preset.system, preset.source, energy)
     assert rb_atom_laser().plane == (energy_from_frequency(2.5e3), 1e-3)
     assert o_minus().plane == (energy_from_ev(100.5e-6), 0.514)
+
+
+def test_point_presets_have_no_sum_rule():
+    assert s_minus().sum_rule_ratio() is None
+    assert o_minus().sum_rule_ratio() is None
+
+
+def test_atom_laser_sum_rule_ratio_is_sum_rule_check_over_its_window():
+    # the detuning window (Hz) mapped to energies (J), each end as E = 2 pi hbar nu
+    preset = rb_atom_laser()
+    lo, hi = preset.scan_window
+    lhs, rhs = sum_rule_check(preset.system, preset.source,
+                              (energy_from_frequency(lo), energy_from_frequency(hi)))
+    assert preset.sum_rule_ratio() == lhs / rhs
+
+
+@pytest.mark.parametrize("make", [s_minus, o_minus])
+def test_point_emitter_plane_is_the_scaled_source(make):
+    preset = make()
+    sys = preset.system
+    for energy in (preset.energy, preset.scan_min, preset.scan_max):
+        for z in (0.35, preset.detector_z):
+            assert preset.emitter_plane(energy, z) == (sys.scale_energy(energy),
+                                                       sys.beta_f * z)
+
+
+def test_gaussian_emitter_plane_is_the_virtual_point_source():
+    preset = rb_atom_laser()
+    sys, src = preset.system, preset.source
+    for nu in (-15e3, 0.0, preset.profile_nu):
+        energy = energy_from_frequency(nu)
+        for z in (0.7e-3, preset.detector_z):
+            g = gaussian_scaled(sys, src, energy, (0.0, 0.0, z))
+            assert preset.emitter_plane(energy, z) == (g.epsilon_tilde, g.zeta_tilde)
+
+
+def test_photodetachment_cross_section_is_total_current_scan():
+    # the former point-source scan keeps its exported name
+    assert photodetachment_cross_section is total_current_scan

@@ -703,6 +703,14 @@ def test_sum_rule_coupling_squared_overflow_raises(rb_system):
         sum_rule_check(rb_system, GaussianSource(1e-6, 1e300), (-1e-30, 1e-30))
 
 
+def test_hbar_omega_underflow_names_its_caller(rb_system):
+    src = GaussianSource(1e-6, 1e-300)          # hbar Omega = 1e-334 underflows to 0
+    with pytest.raises(RangeError, match="^equivalent_point_strength: hbar Omega underflows"):
+        equivalent_point_strength(rb_system, src)
+    with pytest.raises(RangeError, match="^gaussian_scaled: hbar Omega underflows"):
+        gaussian_scaled(rb_system, src, 0.0)
+
+
 def test_sum_rule_nan_current_raises(rb_system, monkeypatch):
     monkeypatch.setattr(airybeam.sources, "total_current_gauss",
                         lambda *args: math.nan)
