@@ -301,7 +301,7 @@ def _taylor(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _positive_scaled(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Ai e^s, Ai' e^s, Bi e^-s, Bi' e^-s, s), s = 2/3 x^(3/2), from the
-    asymptotic series at flat x > 7.5."""
+    asymptotic series at flat x > _SCALED = 8."""
     s = (2.0 / 3.0) * x**1.5
     su, sv, sbu, sbv = _truncated_sums(s, _POSITIVE_ROWS)
     x4 = x**0.25

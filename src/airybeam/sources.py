@@ -57,7 +57,7 @@ __all__ = [
 
 _FAR_FIELD_HARD = 3.0   # rho~ < 3 alpha: far-field formulas invalid
 _FAR_FIELD_SOFT = 5.0   # 3..5 alpha: usable with a warning
-_SUM_RULE_EXTENSIONS = 200  # window slabs added on each side before giving up
+_SUM_RULE_EXTENSIONS = 200  # slab pairs added before giving up
 _SUM_RULE_TOL = 5e-3        # tail cut, as a fraction of the sum-rule value
 # scaled distances and energies beyond this, and distances below its inverse,
 # leave double range in rho^3 of j_z or in the powers of eps
@@ -448,48 +448,47 @@ def total_current_slicing(sys: PhysicalSystem, src: GaussianSource, energy):
     return _times_exp("total_current_slicing", 1.0, exponent, pref)[()]
 
 
-def sum_rule_check(
-    sys: PhysicalSystem,
-    src: SourceModel,
-    energy_range: tuple[float, float],
-) -> tuple[float, float]:
+def sum_rule_check(sys: PhysicalSystem, src: SourceModel) -> tuple[float, float]:
     """Integrate J(E) over all energies and compare with (2 pi/hbar) ||sigma||^2.
 
-    Returns (lhs, rhs) with rhs = 2 pi hbar Omega^2.  The integration window
-    starts from ``energy_range`` and is extended in both directions until
-    the marginal tail contribution drops below ``_SUM_RULE_TOL`` * rhs / 20.
+    Returns (lhs, rhs) with rhs = 2 pi hbar Omega^2.  The integral runs over
+    the scaled energy, first over |eps| <= h and then over slab pairs of
+    width 2h on both sides, until a pair adds less than ``_SUM_RULE_TOL`` *
+    rhs / 20.  h = max(23, 3 alpha) depends on the source alone: 3 alpha
+    covers the slicing peak e^(-eps^2/(4 alpha^2)) of wide sources, and the
+    floor of 23 covers the tunnelling side of narrow ones (their bracket has
+    fallen as e^(-4/3 eps^(3/2)) below 1e-60 there) while slabs of 46 reach
+    the emission tail e^(4 alpha^2 eps) within ``_SUM_RULE_EXTENSIONS`` pairs
+    down to alpha ~ 0.013 (a floor of 10 raises from alpha = 0.017 down).
     """
     if isinstance(src, PointSource):
         raise DomainError("sum_rule_check: the delta source has no square-integrable "
                           "norm, so the total-current sum rule does not apply to it")
     rhs = 2.0 * math.pi * sys.hbar * _coupling_squared("sum_rule_check", src)
 
-    def j_eps(eps):
-        return total_current_gauss(sys, src, sys.unscale_energy(eps))
+    def j_pair(eps):                            # J at eps and at -eps
+        return (total_current_gauss(sys, src, sys.unscale_energy(eps))
+                + total_current_gauss(sys, src, sys.unscale_energy(-eps)))
 
     def integral(lo, hi, epsabs):
-        return quad(j_eps, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)[0]
+        return quad(j_pair, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9)[0]
 
     # E -> eps reverses orientation; J dE = (1/(2 beta)) J deps
-    e_lo, e_hi = sorted(sys.scale_energy(e) for e in energy_range)
-    total = integral(e_lo, e_hi, 0.0)
-    slab = max(e_hi - e_lo, 10.0)
+    half = max(23.0, 3.0 * sys.beta_f * src.width)
+    total = integral(0.0, half, 0.0)
     cut = _SUM_RULE_TOL * rhs * 2.0 * sys.beta / 20.0
-    for direction in (-1.0, +1.0):
-        edge = e_lo if direction < 0 else e_hi
-        for _ in range(_SUM_RULE_EXTENSIONS):
-            nxt = edge + direction * slab
-            lo, hi = (nxt, edge) if direction < 0 else (edge, nxt)
-            piece = integral(lo, hi, cut / 10.0)
-            total += piece
-            edge = nxt
-            if abs(piece) < cut:
-                break
-        else:
-            raise ConvergenceError(
-                f"sum_rule_check: the J tail past scaled energy {edge:.6g} "
-                f"still adds {abs(piece):.3g} per slab after "
-                f"{_SUM_RULE_EXTENSIONS} extensions (cut {cut:.3g})",
-                estimate=abs(piece) / (2.0 * sys.beta),
-            )
+    edge = half
+    for _ in range(_SUM_RULE_EXTENSIONS):
+        pair = integral(edge, edge + 2.0 * half, cut / 10.0)
+        total += pair
+        edge += 2.0 * half
+        if abs(pair) < cut:
+            break
+    else:
+        raise ConvergenceError(
+            f"sum_rule_check: the J tails past scaled energy +-{edge:.6g} "
+            f"still add {abs(pair):.3g} per slab pair after "
+            f"{_SUM_RULE_EXTENSIONS} extensions (cut {cut:.3g})",
+            estimate=abs(pair) / (2.0 * sys.beta),
+        )
     return total / (2.0 * sys.beta), rhs

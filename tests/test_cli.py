@@ -680,6 +680,9 @@ def test_inverted_scan_window_exits_1(tmp_path, argv, fields, capsys):
 @pytest.mark.parametrize("argv", [
     "total-current --preset rb-atom-laser --width 20um --n 50",
     "transition --widths 20um --n 21",
+    pytest.param("total-current --preset rb-atom-laser --numin 100kHz --numax 101kHz --n 21",
+                 id="total-current-off-window"),
+    pytest.param("transition --numin 20kHz --numax 30kHz --n 21", id="transition-off-window"),
 ], ids=lambda argv: argv.split()[0])
 def test_wide_condensate_meets_sum_rule(tmp_path, argv, capsys):
     # alpha = 33 at 20 um: the exact J's alpha^6 exponents cancel analytically
@@ -688,6 +691,16 @@ def test_wide_condensate_meets_sum_rule(tmp_path, argv, capsys):
         assert main(argv.split() + ["-o", str(tmp_path / "x.csv")]) == 0
     ratio = re.search(r"sum-rule (?:area )?ratios? =? ?([0-9.]+)", capsys.readouterr().out)
     assert abs(float(ratio.group(1)) - 1.0) <= 5e-3
+
+
+def test_transition_area_ratios_do_not_depend_on_the_window(tmp_path, capsys):
+    # every width's area is the integral over all energies, not over the scan
+    assert main(["transition", "--numin", "20kHz", "--numax", "30kHz", "--n", "21",
+                 "-o", str(tmp_path / "t.csv")]) == 0
+    line = capsys.readouterr().out
+    ratios = re.search(r"area ratios = ([0-9., ]+) \(", line).group(1).split(", ")
+    assert len(ratios) == 4
+    assert all(abs(float(r) - 1.0) <= 5e-3 for r in ratios), line
 
 
 @pytest.mark.parametrize("width", ["1e60m", "1e80m"])

@@ -314,13 +314,19 @@ def test_point_presets_have_no_sum_rule():
     assert o_minus().sum_rule_ratio() is None
 
 
-def test_atom_laser_sum_rule_ratio_is_sum_rule_check_over_its_window():
-    # the detuning window (Hz) mapped to energies (J), each end as E = 2 pi hbar nu
+def test_atom_laser_sum_rule_ratio_is_window_independent():
+    # the integral runs over all energies: a window far off the peak changes no bit
     preset = rb_atom_laser()
-    lo, hi = preset.scan_window
-    lhs, rhs = sum_rule_check(preset.system, preset.source,
-                              (energy_from_frequency(lo), energy_from_frequency(hi)))
+    lhs, rhs = sum_rule_check(preset.system, preset.source)
     assert preset.sum_rule_ratio() == lhs / rhs
+    assert (replace(preset, detuning_min=100e3, detuning_max=101e3).sum_rule_ratio()
+            == preset.sum_rule_ratio())
+
+
+@pytest.mark.parametrize("width", [100e-6, 300e-6])
+def test_wide_condensate_sum_rule_ratio_within_1e_6(width):
+    # wide sources: the integral covers the slicing peak e^(-eps^2/(4 alpha^2)) whole
+    assert abs(replace(rb_atom_laser(), width=width).sum_rule_ratio() - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("make", [s_minus, o_minus])

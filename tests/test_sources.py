@@ -678,17 +678,15 @@ def test_slicing_matches_exact_for_wide_source(rb_system):
 
 def test_sum_rule_gaussian(rb_system):
     src = GaussianSource(0.5e-6, 2 * math.pi * 105.585)
-    lo, hi = energy_from_frequency(-5e3), energy_from_frequency(5e3)
-    lhs, rhs = sum_rule_check(rb_system, src, (lo, hi))
+    lhs, rhs = sum_rule_check(rb_system, src)
     assert abs(lhs / rhs - 1.0) <= 0.005
     assert_allclose(rhs, 2 * math.pi * rb_system.hbar * src.coupling**2, rtol=0)
 
 
 def test_sum_rule_rhs_scalings(rb_system):
-    lo, hi = energy_from_frequency(-5e3), energy_from_frequency(5e3)
-    _, rhs1 = sum_rule_check(rb_system, GaussianSource(1e-6, 100.0), (lo, hi))
-    _, rhs2 = sum_rule_check(rb_system, GaussianSource(1e-6, 200.0), (lo, hi))
-    _, rhs3 = sum_rule_check(rb_system, GaussianSource(2e-6, 100.0), (lo, hi))
+    _, rhs1 = sum_rule_check(rb_system, GaussianSource(1e-6, 100.0))
+    _, rhs2 = sum_rule_check(rb_system, GaussianSource(1e-6, 200.0))
+    _, rhs3 = sum_rule_check(rb_system, GaussianSource(2e-6, 100.0))
     assert_allclose(rhs2, 4.0 * rhs1, rtol=0)   # Omega^2 scaling
     assert rhs3 == rhs1                          # width-independent norm
 
@@ -700,7 +698,7 @@ def test_slicing_coupling_squared_overflow_raises(rb_system):
 
 def test_sum_rule_coupling_squared_overflow_raises(rb_system):
     with pytest.raises(RangeError, match="Omega = 1e\\+300"):
-        sum_rule_check(rb_system, GaussianSource(1e-6, 1e300), (-1e-30, 1e-30))
+        sum_rule_check(rb_system, GaussianSource(1e-6, 1e300))
 
 
 def test_hbar_omega_underflow_names_its_caller(rb_system):
@@ -715,7 +713,7 @@ def test_sum_rule_nan_current_raises(rb_system, monkeypatch):
     monkeypatch.setattr(airybeam.sources, "total_current_gauss",
                         lambda *args: math.nan)
     with pytest.raises(ConvergenceError, match="integrates to nan"):
-        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0), (-1e-30, 1e-30))
+        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0))
 
 
 def test_sum_rule_window_extension_is_bounded(rb_system, monkeypatch):
@@ -723,13 +721,13 @@ def test_sum_rule_window_extension_is_bounded(rb_system, monkeypatch):
     # number of slabs instead of looping forever
     monkeypatch.setattr(airybeam.sources, "total_current_gauss", lambda *args: 1.0)
     with pytest.raises(ConvergenceError, match="extensions") as exc:
-        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0), (-1e-30, 1e-30))
+        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0))
     assert exc.value.estimate > 0.0
 
 
 def test_sum_rule_rejects_point_source(rb_system):
     with pytest.raises(DomainError, match="square-integrable"):
-        sum_rule_check(rb_system, PointSource(1.0), (-1e-30, 1e-30))
+        sum_rule_check(rb_system, PointSource(1.0))
 
 
 # ---------------------------------------------------------------------------

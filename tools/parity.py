@@ -108,6 +108,10 @@ def calls() -> list[Call]:
         "-o", "di-tunnel.pgm", outdir=True)
     add("total-current", "--preset", "s-minus", "--emin", "-19meV", "--emax", "-18meV",
         "--n", 50, "-o", "tc-tunnel.csv", outdir=True)
+    add("total-current", "--preset", "rb-atom-laser", "--numin", "100kHz", "--numax", "101kHz",
+        "--n", 21, "-o", "tc-off-window.csv", outdir=True)
+    add("transition", "--numin", "20kHz", "--numax", "30kHz", "--n", 21,
+        "-o", "tr-off-window.csv", outdir=True)
     add("validate", "--suite", "flux", outdir=True)
     # its overlay step
     overlays = (_OV_HZ, _OV_J, _OV_BOM)
