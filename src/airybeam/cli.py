@@ -14,12 +14,17 @@ Start-up is most of a small command, so the module imports little: the
 package's public names (``airybeam.__all__``) are bound only after a command
 that computes has been parsed, and what one path alone needs
 (``dataclasses``, ``json``, the scaling helpers an energy flag converts
-with) is imported in that path.
+with) is imported in that path.  Run as the process's program (``main()``
+without ``argv``), the CLI keeps the garbage collector off while it imports
+and freezes what the imports left: those objects live until the process
+exits, so no collection, automatic or at the interpreter's exit, walks
+them.  A call with ``argv`` leaves ``gc`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
@@ -448,14 +453,22 @@ def _config_argv(path, parser) -> list[str]:
 
 
 def main(argv=None) -> int:
+    program = argv is None
+    if program:
+        gc.disable()
     parser = build_parser()
-    argv = _sys.argv[1:] if argv is None else list(argv)
+    if program:
+        gc.freeze()         # --version, --help and usage errors exit in parse_args
+    argv = _sys.argv[1:] if program else list(argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         # config flags go right after the subcommand: the command line wins
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_argv(args.config, parser) + argv[at:])
     _bind_layers()
+    if program:
+        gc.freeze()         # the command collects over its own objects only
+        gc.enable()
     try:
         preset = _preset(args, parser) if hasattr(args, "preset") else None
         return args.fn(args, preset)

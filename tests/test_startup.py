@@ -5,9 +5,11 @@ imports the numeric layers only after parsing a command that computes.  The
 fresh-process tests here check that the paths computing nothing leave NumPy
 unloaded, that the lazy namespace matches the modules that define each name,
 and that the benchmark's tracer, which wraps ``airybeam.cli`` globals by
-name, still sees every call.
+name, still sees every call.  ``main()`` run as the process's program takes
+over the garbage collector; ``main(argv)`` leaves it as it was.
 """
 
+import gc
 import importlib
 import inspect
 import json
@@ -30,6 +32,10 @@ def _run(code, *argv, cwd=None):
                           capture_output=True, text=True)
 
 
+def _argv_id(value):
+    return " ".join(value) if isinstance(value, list) else str(value)
+
+
 # (argv, exit code): the paths that compute nothing
 _NO_COMPUTE = [
     ([], 2),
@@ -43,13 +49,22 @@ _NO_COMPUTE = [
 ]
 
 
-@pytest.mark.parametrize("argv,code", _NO_COMPUTE, ids=lambda v: " ".join(v)
-                         if isinstance(v, list) else str(v))
+@pytest.mark.parametrize("argv,code", _NO_COMPUTE, ids=_argv_id)
 def test_paths_that_compute_nothing_leave_numpy_unloaded(tmp_path, argv, code):
+    _check_computes_nothing(tmp_path, argv, code, "main(sys.argv[1:])")
+
+
+@pytest.mark.parametrize("argv,code", _NO_COMPUTE, ids=_argv_id)
+def test_program_paths_that_compute_nothing_leave_numpy_unloaded(tmp_path, argv, code):
+    # main() without argv also takes over the collector, which imports nothing
+    _check_computes_nothing(tmp_path, argv, code, "main()")
+
+
+def _check_computes_nothing(tmp_path, argv, code, call):
     probe = ("import sys\n"
              "from airybeam.cli import main\n"
              "try:\n"
-             "    rc = main(sys.argv[1:])\n"
+             f"    rc = {call}\n"
              "except SystemExit as exc:\n"
              "    rc = exc.code\n"
              "sys.exit(3 if 'numpy' in sys.modules else rc)\n")
@@ -59,6 +74,72 @@ def test_paths_that_compute_nothing_leave_numpy_unloaded(tmp_path, argv, code):
     assert not list(tmp_path.iterdir())
     if code == 2:
         assert run.stderr.startswith("usage: airybeam")
+
+
+# (argv, exit code): a command that computes, one that fails in the layers,
+# a usage error found in parsing and one found after the layers load
+_GC_CASES = [
+    (["total-current", "--n", "20", "-o", "t.csv"], 0),
+    (["total-current", "--n", "1", "-o", "t.csv"], 1),
+    (["total-current", "--energy", "5", "-o", "t.csv"], 2),
+    (["total-current", "--preset", "s-minus", "--width", "1um", "-o", "t.csv"], 2),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_calls_leave_the_collector_alone(tmp_path, monkeypatch, enabled):
+    from airybeam.cli import main
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in _GC_CASES + [(["--version"], 0)]:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert rc == code, argv
+            assert gc.isenabled() is enabled, argv
+            assert gc.get_freeze_count() == frozen, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# runs the CLI as the console script does, or as a library call, with the
+# layer name ``grid`` pre-bound to a wrapper (as perfbench's tracer binds
+# names) that records the collector's state while the command runs
+_GC_PROBE = """import atexit, gc, json, sys
+import airybeam
+from airybeam import cli
+seen, record = [], sys.argv.pop(1)
+def grid(*args):
+    seen.append([gc.isenabled(), gc.get_freeze_count()])
+    return airybeam.grid(*args)
+cli.grid = grid
+atexit.register(lambda: open(record, "w").write(json.dumps(seen)))
+sys.exit(cli.main({}))
+"""
+
+
+@pytest.mark.parametrize("argv,code", _GC_CASES, ids=_argv_id)
+def test_program_computes_with_the_collector_on_over_its_own_objects(
+        tmp_path, argv, code):
+    runs = {}
+    for name, call in (("program", ""), ("library", "sys.argv[1:]")):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        record = tmp_path / f"{name}.json"
+        run = _run(_GC_PROBE.format(call), str(record), *argv, cwd=cwd)
+        files = {p.name: p.read_bytes() for p in cwd.iterdir()}
+        runs[name] = (run.returncode, run.stdout, run.stderr, files)
+        seen = json.loads(record.read_text())
+        assert len(seen) == (code != 2), (name, seen)
+        # the library call runs with this fresh process's default collector
+        assert all(on and (frozen > 0) == (name == "program")
+                   for on, frozen in seen), (name, seen)
+    assert runs["program"] == runs["library"]
+    assert runs["program"][0] == code and "Traceback" not in runs["program"][2]
 
 
 def test_package_import_leaves_numpy_unloaded():
