@@ -1,0 +1,91 @@
+"""tools/parity.py on synthetic records, no subprocess: what it reports, and
+that its invocation list, the only one CI runs, covers the CLI."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+from airybeam import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
+
+_TRACEBACK = ('Traceback (most recent call last):\n'
+              '  File "<src>/airybeam/cli.py", line 1, in main\n'
+              'ValueError: boom\n')
+
+
+def _record(code=0, stderr=""):
+    return {"exit code": code, "stdout": "", "stderr": stderr,
+            "modules loaded": "100", "files": {"out/x.csv": "0" * 64}}
+
+
+def _report(monkeypatch, capsys, call, record):
+    """parity.main over one call whose record is the same on both trees."""
+    monkeypatch.setattr(parity, "calls", lambda: [call])
+    monkeypatch.setattr(parity, "run", lambda tree, c: record)
+    code = parity.main([str(ROOT), str(ROOT)])
+    return code, capsys.readouterr().out
+
+
+def test_a_record_as_expected_passes(monkeypatch, capsys):
+    call = parity.Call(("detector-image", "--n", "0", "-o", "empty.pgm"), exit=1)
+    code, out = _report(monkeypatch, capsys, call,
+                        _record(1, "airybeam: error: --n must be >= 1\n"))
+    assert code == 0, out
+    assert "no failure, no difference" in out
+
+
+def test_an_unexpected_exit_code_both_trees_share_is_reported(monkeypatch, capsys):
+    call = parity.Call(("atom-laser", "--n", "21", "-o", "al.csv"))
+    code, out = _report(monkeypatch, capsys, call,
+                        _record(1, "airybeam: error: no data rows\n"))
+    assert code == 1
+    assert "FAIL atom-laser --n 21 -o al.csv: exit code 1, expected 0" in out
+    assert "DIFF" not in out
+
+
+def test_a_traceback_on_stderr_is_reported(monkeypatch, capsys):
+    # its exit code is the expected one: only the traceback gives it away
+    call = parity.Call(("detector-image", "--n", "0", "-o", "empty.pgm"), exit=1)
+    code, out = _report(monkeypatch, capsys, call, _record(1, _TRACEBACK))
+    assert code == 1
+    assert "FAIL detector-image --n 0 -o empty.pgm: traceback on stderr" in out
+    assert "ValueError: boom" in out
+    assert "exit code" not in out
+
+
+def test_only_the_usage_error_and_the_rejected_input_expect_a_failure():
+    failing = {c.argv: c.exit for c in parity.calls() if c.exit}
+    assert failing == {("total-current", "--emin", "5", "-o", "bare.csv"): 2,
+                       ("detector-image", "--n", "0", "-o", "empty.pgm"): 1}
+
+
+def _subcommand_formats():
+    """Each (subcommand, --format choice) of the parser; (subcommand, None)
+    for one without ``--format``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        formats = next((a.choices for a in sp._actions if "--format" in a.option_strings),
+                       (None,))
+        for fmt in formats:
+            yield name, fmt
+
+
+def test_every_subcommand_and_format_is_in_the_invocation_list(capsys):
+    parser = cli.build_parser()
+    covered = set()
+    for call in parity.calls():
+        try:
+            args = parser.parse_args(call.argv)
+        except SystemExit:          # --version, --help and the usage error
+            continue
+        covered.add((args.command, getattr(args, "format", None)))
+    capsys.readouterr()
+    wanted = set(_subcommand_formats())
+    assert len(wanted) >= 11
+    assert wanted <= covered, sorted(wanted - covered)
+

@@ -1,24 +1,36 @@
-"""Check that two source trees give the same CLI outputs, byte for byte.
+"""Run the committed list of CLI invocations on two source trees, check
+each, and compare their outputs byte for byte.
 
     python tools/parity.py OLD NEW
+    python tools/parity.py . .
 
 OLD and NEW are checkouts of this repository, each with ``src/airybeam``.
-Each invocation of the list that ``calls()`` builds runs once per tree, in a
-fresh process and a fresh working directory, with ``PYTHONPATH`` set to that
-tree's ``src`` and RuntimeWarnings made errors, as CI runs the CLI.  The list:
+``calls()`` is the one committed list of CLI invocations, and the list CI
+runs; CI's YAML repeats only a few of them, on the installed package.  Each
+invocation runs once per tree, in a fresh process and a fresh working
+directory, under the Python that runs this script, with ``PYTHONPATH`` set
+to that tree's ``src`` and RuntimeWarnings made errors.  The list:
 
-* the subcommand steps of ``.github/workflows/tests.yml``, the overlays
-  among them;
+* every subcommand at a small size, every preset at default sizes, and the
+  regimes of the paper at their edges: wide condensates, deep tunnelling,
+  scan windows far from the peak, flux through two planes, overlays;
 * both benchmark workloads at seeds 1-3, read from ``perfbench/workloads.py``;
 * JSON images of each preset at n = 1, 2, 7, 8 and 1024, and of O- at 2048;
   PGM images at odd sizes that span several interpolated row blocks;
 * every scan as JSON, ``validate --suite all``, a ``--config`` file,
   ``--version``, ``--help``, a usage error and an input the CLI rejects.
 
-For each invocation it compares the exit code, stdout, stderr (the tree's
-``src`` path written as ``<src>``), the number of modules loaded and the
-SHA-256 of every file written.  It prints each difference and exits 1 if
-there is any, else 0.  Two invocations run at a time.
+Each invocation on NEW must exit with the code its ``Call`` expects (0, but
+2 for the usage error and 1 for the rejected input) and print no traceback.
+It must also give what it gives on OLD: the exit code, stdout, stderr (the
+tree's ``src`` path written as ``<src>``), the number of modules loaded and
+the SHA-256 of every file written are compared.  The script prints each
+failure and difference and exits 1 if there is any, else 0.
+
+Run against itself, ``. .``, it is the smoke test: CI runs it on every
+Python and NumPy leg, and under an install without scipy.  Run with the
+parent commit as OLD, it shows each output a change alters.  Two invocations
+run at a time.
 """
 
 from __future__ import annotations
@@ -52,32 +64,36 @@ finally:
         fh.write(str(len(sys.modules)))
 """
 
-# the overlay inputs of the CI step, the last one with a byte-order mark
+# overlay inputs in both abscissa units, the last with a byte-order mark, as
+# spreadsheets save "CSV UTF-8"
 _OV_HZ = ("ov-hz.csv", b"# detuning_Hz,value\n2000,0.99\n-1000,0.9\n500,0.97\n")
 _OV_J = ("ov-j.csv", b"# energy_J,value\n1e-24,0.5\n8e-24,1\n")
 _OV_BOM = ("ov-bom.csv", b"\xef\xbb\xbf2000,0.99\n-1000,0.9\n")
 
 
 class Call(NamedTuple):
-    """One CLI invocation, the input files it reads (name, bytes), and
-    whether it runs with ``AIRYBEAM_OUTDIR=out``."""
+    """One CLI invocation, the input files it reads (name, bytes), whether it
+    runs with ``AIRYBEAM_OUTDIR=out``, and the exit code it must give."""
 
     argv: tuple[str, ...]
     inputs: tuple[tuple[str, bytes], ...] = ()
     outdir: bool = False
+    exit: int = 0
 
     def __str__(self):
         return " ".join(self.argv) + (" [AIRYBEAM_OUTDIR=out]" if self.outdir else "")
 
 
 def calls() -> list[Call]:
-    """The committed invocation list, each invocation once."""
+    """The committed invocation list, each invocation once.  Every one exits
+    0 unless its ``exit`` says otherwise."""
     out = []
 
-    def add(*argv, inputs=(), outdir=False):
-        out.append(Call(tuple(map(str, argv)), tuple(inputs), outdir))
+    def add(*argv, inputs=(), outdir=False, exit=0):
+        out.append(Call(tuple(map(str, argv)), tuple(inputs), outdir, exit))
 
-    # tests.yml, runtime-only job: every subcommand at a small size
+    # every subcommand at a small size, writing under AIRYBEAM_OUTDIR; odd n:
+    # the quadrant's middle row and column are not mirrored
     add("--version", outdir=True)
     for p in PRESETS:
         add("total-current", "--preset", p, "--n", 50, "-o", f"tc-{p}.csv", outdir=True)
@@ -93,27 +109,33 @@ def calls() -> list[Call]:
         add("transition", "--widths", "0.4um,2.8um", "--n", 21, "--format", fmt,
             "-o", f"tr.{fmt}", outdir=True)
     add("validate", "--suite", "all", outdir=True)
+    # a wide condensate (alpha = 33): its sum rule must still hold
     add("total-current", "--preset", "rb-atom-laser", "--width", "20um", "--n", 50,
         "-o", "tc-wide.csv", outdir=True)
     add("transition", "--widths", "20um", "--n", 21, "-o", "tr-wide.csv", outdir=True)
+    # alpha = 33 and 83: the Airy argument eps~ + delta ~ 4 alpha^4 of j_z
+    # passes airy.X_SCALED_MAX, and its exponents cancel in closed form
     for w in ("20um", "50um"):
         add("density-profile", "--preset", "rb-atom-laser", "--width", w, "--n", 51,
             "-o", f"dp-wide-{w}.csv", outdir=True)
         for fmt in ("pgm", "json"):
             add("detector-image", "--preset", "rb-atom-laser", "--width", w, "--n", 16,
                 "--format", fmt, "-o", f"di-wide-{w}.{fmt}", outdir=True)
+    # deep tunnelling: j_z near 1e-245 and J near 1e-263, not flushed to 0
     add("density-profile", "--preset", "o-minus", "--energy", "-1.3meV", "--n", 51,
         "-o", "dp-tunnel.csv", outdir=True)
     add("detector-image", "--preset", "o-minus", "--energy", "-1.3meV", "--n", 16,
         "-o", "di-tunnel.pgm", outdir=True)
     add("total-current", "--preset", "s-minus", "--emin", "-19meV", "--emax", "-18meV",
         "--n", 50, "-o", "tc-tunnel.csv", outdir=True)
+    # a scan window far from the current's peak: the sum rule must not depend on it
     add("total-current", "--preset", "rb-atom-laser", "--numin", "100kHz", "--numax", "101kHz",
         "--n", 21, "-o", "tc-off-window.csv", outdir=True)
     add("transition", "--numin", "20kHz", "--numax", "30kHz", "--n", 21,
         "-o", "tr-off-window.csv", outdir=True)
+    # flux through two planes of O- and of the Rb preset
     add("validate", "--suite", "flux", outdir=True)
-    # its overlay step
+    # overlay models of both preset kinds, each the main output's own function
     overlays = (_OV_HZ, _OV_J, _OV_BOM)
     add("total-current", "--preset", "rb-atom-laser", "--n", 21, "--overlay", "ov-hz.csv",
         "-o", "ov-rb.csv", inputs=overlays, outdir=True)
@@ -125,7 +147,8 @@ def calls() -> list[Call]:
         "-o", "ov-al-flip.csv", inputs=overlays, outdir=True)
     add("atom-laser", "--n", 21, "--overlay", "ov-bom.csv", "-o", "ov-al-bom.csv",
         inputs=overlays, outdir=True)
-    # tier-1 job: every subcommand and preset at default sizes
+    # every subcommand and preset at default sizes; n = 1 and odd n: the
+    # quadrant of detector_image unfolded by the writers
     for p in PRESETS:
         add("total-current", "--preset", p, "-o", f"tc-{p}.csv")
         add("density-profile", "--preset", p, "-o", f"dp-{p}.csv")
@@ -154,14 +177,14 @@ def calls() -> list[Call]:
         add("density-profile", "--preset", p, "--format", "json", "-o", f"dp-{p}.json")
     add("atom-laser", "--format", "json", "-o", "al.json")
     add("transition", "--format", "json", "-o", "tr.json")
-    # flags from a config file; help; a usage error (a bare number, exit 2)
-    # and a rejected input (no pixels, exit 1)
+    # flags from a config file; help; a usage error (a bare number) and a
+    # rejected input (no pixels)
     add("total-current", "--config", "cfg.json", "-o", "cfg.csv",
         inputs=[("cfg.json", b'{"preset": "rb-atom-laser", "n": 17}')])
     add("--help")
     add("detector-image", "--help")
-    add("total-current", "--emin", "5", "-o", "bare.csv")
-    add("detector-image", "--n", 0, "-o", "empty.pgm")
+    add("total-current", "--emin", "5", "-o", "bare.csv", exit=2)
+    add("detector-image", "--n", 0, "-o", "empty.pgm", exit=1)
     return list(dict.fromkeys(out))
 
 
@@ -196,6 +219,18 @@ def run(tree: Path, call: Call) -> dict:
     return {"exit code": code, **text, "modules loaded": loaded, "files": files}
 
 
+def faults(call: Call, record: dict) -> list[str]:
+    """Each way in which one tree's record of an invocation fails it on its
+    own: an exit code other than the expected one, or a traceback on stderr."""
+    out = []
+    if record["exit code"] != call.exit:
+        out.append(f"exit code {record['exit code']}, expected {call.exit}")
+    if "Traceback (most recent call last)" in record["stderr"]:
+        out.append("traceback on stderr:\n    "
+                   + "\n    ".join(record["stderr"].splitlines()[-3:]))
+    return out
+
+
 def differences(old: dict, new: dict) -> list[str]:
     """Each way in which two records of one invocation differ."""
     out = []
@@ -226,16 +261,18 @@ def main(argv: list[str]) -> int:
     todo = calls()
     with ThreadPoolExecutor(max_workers=2) as pool:
         records = list(pool.map(lambda c: [run(t, c) for t in trees], todo))
-    differing = 0
+    bad = 0
     for call, (old, new) in zip(todo, records):
-        found = differences(old, new)
-        differing += bool(found)
+        found = ([f"FAIL {call}: {line}" for line in faults(call, new)]
+                 + [f"DIFF {call}: {line}" for line in differences(old, new)])
+        bad += bool(found)
         for line in found:
-            print(f"DIFF {call}: {line}")
+            print(line)
     files = sum(len(old["files"]) for old, _ in records)
     print(f"parity: {len(todo)} invocations, {files} files written by OLD: "
-          + (f"{differing} invocation(s) differ" if differing else "no difference"))
-    return 1 if differing else 0
+          + (f"{bad} invocation(s) fail or differ" if bad
+             else "no failure, no difference"))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
