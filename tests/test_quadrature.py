@@ -11,11 +11,13 @@ the subinterval cap) and the sum rule it now integrates.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import airy as scipy_airy
 
 from airybeam.errors import ConvergenceError, DomainError
 from airybeam.quadrature import GAUSS, KRONROD, NODES, gauss_kronrod
@@ -99,6 +101,26 @@ def test_complex_integrand_error_within_estimate(kind, p, tols):
     assert err <= max(epsabs, epsrel * abs(val))
 
 
+def _ai2_antiderivative(x):
+    """x Ai(x)^2 - Ai'(x)^2, whose derivative is Ai(x)^2, to 30 digits."""
+    x = mpmath.mpf(x)
+    return x * mpmath.airyai(x) ** 2 - mpmath.airyai(x, derivative=1) ** 2
+
+
+@PROPERTY
+@given(st.floats(-300.0, 5.0), st.floats(-300.0, 5.0), st.floats(-12.0, -4.0))
+def test_airy_squared_error_within_estimate(x0, x1, log_epsrel):
+    # up to ~1100 periods of Ai^2 on the emission side; the floor is the
+    # rule's own roundoff floor 50 eps integral |f|, Ai^2 >= 0
+    a, b = min(x0, x1), max(x0, x1)
+    assume(b - a > 1e-3)                # F(b) - F(a) keeps digits at 30
+    with mpmath.workdps(30):
+        exact = float(_ai2_antiderivative(b) - _ai2_antiderivative(a))
+    val, err = gauss_kronrod(lambda x: scipy_airy(x)[0] ** 2, a, b, epsabs=0.0,
+                             epsrel=10.0**log_epsrel, limit=5000)
+    assert abs(val - exact) <= err + 50.0 * EPS * exact
+
+
 def test_zero_length_interval_skips_integrand():
     def never(x):
         raise AssertionError("integrand called on an empty interval")
@@ -172,9 +194,13 @@ def test_infinite_limit_is_a_domain_error():
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(st.floats(0.2e-6, 30e-6), st.floats(10.0, 1000.0))
+@given(st.floats(math.log(1e-9), math.log(30e-6)).map(math.exp), st.floats(10.0, 1000.0))
 @example(20e-6, 105.585)
+@example(2e-9, 105.585)
 def test_sum_rule_within_budget(width, nu):
+    # Rb widths log-uniform from 1 nm (alpha = 0.0017) to 30 um (alpha = 50);
+    # the exact target 1 is int e^(px) [Ai'(x)^2 - x Ai(x)^2] dx =
+    # e^(p^3/12) / (2 sqrt(pi) p^(3/2)), p = 4 alpha^2, times J's prefactor
     preset = rb_atom_laser()
     lhs, rhs = sum_rule_check(preset.system, GaussianSource(width, 2.0 * math.pi * nu))
-    assert abs(lhs / rhs - 1.0) <= 5e-3
+    assert abs(lhs / rhs - 1.0) <= 1e-6

@@ -329,6 +329,14 @@ def test_wide_condensate_sum_rule_ratio_within_1e_6(width):
     assert abs(replace(rb_atom_laser(), width=width).sum_rule_ratio() - 1.0) <= 1e-6
 
 
+def test_sum_rule_ratio_from_1nm_to_10cm():
+    # 41 log-spaced widths, alpha = 0.0017 to 1.7e5: narrow sources, whose
+    # emission tail reaches |eps| ~ 1/(4 alpha^2), as well as wide ones
+    for width in np.logspace(-9, -1, 41):
+        off = abs(replace(rb_atom_laser(), width=width).sum_rule_ratio() - 1.0)
+        assert off <= (1e-9 if width >= 0.2e-6 else 1e-6), width
+
+
 @pytest.mark.parametrize("make", [s_minus, o_minus])
 def test_point_emitter_plane_is_the_scaled_source(make):
     preset = make()

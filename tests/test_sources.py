@@ -696,9 +696,18 @@ def test_slicing_coupling_squared_overflow_raises(rb_system):
         total_current_slicing(rb_system, GaussianSource(1e-6, 1e300), 0.0)
 
 
-def test_sum_rule_coupling_squared_overflow_raises(rb_system):
-    with pytest.raises(RangeError, match="Omega = 1e\\+300"):
-        sum_rule_check(rb_system, GaussianSource(1e-6, 1e300))
+@pytest.mark.parametrize("omega,shown", [
+    pytest.param(1e300, "1e\\+300", id="overflow"),
+    pytest.param(2 * math.pi * 1e-150, "6.28319e-150", id="underflow"),  # 2 pi hbar Omega^2 = 0
+])
+def test_sum_rule_coupling_squared_overflow_raises(rb_system, omega, shown):
+    with pytest.raises(RangeError, match=f"Omega = {shown} rad/s"):
+        sum_rule_check(rb_system, GaussianSource(1e-6, omega))
+
+
+def test_sum_rule_width_beyond_double_range_raises(rb_system):
+    with pytest.raises(RangeError, match="alpha = beta F a"):
+        sum_rule_check(rb_system, GaussianSource(1e300, 100.0))
 
 
 def test_hbar_omega_underflow_names_its_caller(rb_system):
@@ -714,15 +723,6 @@ def test_sum_rule_nan_current_raises(rb_system, monkeypatch):
                         lambda *args: math.nan)
     with pytest.raises(ConvergenceError, match="integrates to nan"):
         sum_rule_check(rb_system, GaussianSource(1e-6, 100.0))
-
-
-def test_sum_rule_window_extension_is_bounded(rb_system, monkeypatch):
-    # a current that never decays: the window stops growing after a fixed
-    # number of slabs instead of looping forever
-    monkeypatch.setattr(airybeam.sources, "total_current_gauss", lambda *args: 1.0)
-    with pytest.raises(ConvergenceError, match="extensions") as exc:
-        sum_rule_check(rb_system, GaussianSource(1e-6, 100.0))
-    assert exc.value.estimate > 0.0
 
 
 def test_sum_rule_rejects_point_source(rb_system):

@@ -12,8 +12,9 @@ directory, under the Python that runs this script, with ``PYTHONPATH`` set
 to that tree's ``src`` and RuntimeWarnings made errors.  The list:
 
 * every subcommand at a small size, every preset at default sizes, and the
-  regimes of the paper at their edges: wide condensates, deep tunnelling,
-  scan windows far from the peak, flux through two planes, overlays;
+  regimes of the paper at their edges: wide and narrow condensates, deep
+  tunnelling, scan windows far from the peak, flux through two planes,
+  overlays;
 * both benchmark workloads at seeds 1-3, read from ``perfbench/workloads.py``;
 * JSON images of each preset at n = 1, 2, 7, 8 and 1024, and of O- at 2048;
   PGM images at odd sizes that span several interpolated row blocks;
@@ -113,6 +114,11 @@ def calls() -> list[Call]:
     add("total-current", "--preset", "rb-atom-laser", "--width", "20um", "--n", 50,
         "-o", "tc-wide.csv", outdir=True)
     add("transition", "--widths", "20um", "--n", 21, "-o", "tr-wide.csv", outdir=True)
+    # narrow condensates (alpha = 0.003 to 0.08): J's emission tail reaches
+    # |eps| ~ 1/(4 alpha^2), far past the Airy scale
+    add("total-current", "--preset", "rb-atom-laser", "--width", "2nm", "--n", 50,
+        "-o", "tc-narrow.csv", outdir=True)
+    add("transition", "--widths", "5nm,50nm", "--n", 21, "-o", "tr-narrow.csv", outdir=True)
     # alpha = 33 and 83: the Airy argument eps~ + delta ~ 4 alpha^4 of j_z
     # passes airy.X_SCALED_MAX, and its exponents cancel in closed form
     for w in ("20um", "50um"):
