@@ -429,20 +429,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_argv(path, parser) -> list[str]:
-    """A JSON config file as flag tokens: ``{"n": 17, "widths": ["1um"]}`` is
-    ``--n 17 --widths 1um``; ``true`` sets a switch and ``false`` leaves it off."""
+def _config_argv(args, parser) -> list[str]:
+    """The JSON file ``args.config`` as flag tokens: ``{"n": 17, "widths": ["1um"]}``
+    is ``--n 17 --widths 1um``; ``true`` sets a switch, ``false`` leaves one off."""
     import json
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        parser.error(f"--config {path}: {exc}")
+        parser.error(f"--config {args.config}: {exc}")
     if not isinstance(cfg, dict):
-        parser.error(f"--config {path}: expected a JSON object of flag values")
+        parser.error(f"--config {args.config}: expected a JSON object of flag values")
+    options = parser._subparsers._group_actions[0].choices[args.command]._option_string_actions
     argv = []
     for key, val in cfg.items():
         flag = "--" + key.replace("_", "-")
+        if val is False and getattr(options.get(flag), "nargs", None) != 0:
+            parser.error(f"--config {args.config}: false for {flag}, no switch of {args.command}")
         if isinstance(val, bool):
             argv += [flag] * val
         elif isinstance(val, list):
@@ -464,7 +467,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         # config flags go right after the subcommand: the command line wins
         at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_argv(args.config, parser) + argv[at:])
+        args = parser.parse_args(argv[:at] + _config_argv(args, parser) + argv[at:])
     _bind_layers()
     if program:
         gc.freeze()         # the command collects over its own objects only

@@ -128,7 +128,6 @@ _THETA_IN = math.pi / 6     # entry ray angle below the real axis
 _THETA_TAIL = math.pi / 6   # tail ray angle (cubic term decays fastest here)
 _QUAD_LIMIT = 400
 _SPIKE = 4.0                # first contour vertex at |tau| = _SPIKE * rho^2
-_TAIL_GROWTHS = 16          # tail cut-off search: y = 5 * 1.6^k, k < 16 (y < 6e3)
 
 
 def _phase(tau, rho: float, a: float):
@@ -138,10 +137,8 @@ def _phase(tau, rho: float, a: float):
 def _integrand(tau, rho: float, a: float):
     ph = _phase(tau, rho, a)
     if np.any(ph.real > 700.0):
-        raise ConvergenceError(
-            "time-integral contour magnitude out of double range; the "
-            "quadrature path does not reach this parameter regime"
-        )
+        raise ConvergenceError("time-integral contour magnitude out of double range; the "
+                               "quadrature path does not reach this parameter regime")
     return -2j * (1j * math.pi * tau) ** -1.5 * np.exp(ph)
 
 
@@ -182,43 +179,37 @@ def _g_time_scaled(rho: float, a: float) -> tuple[complex, float]:
     """Scaled Green function as the propagator transform; (value, error).
 
     Integrates -2i (i pi tau)^(-3/2) exp(i rho^2/tau + i a tau - i tau^3/12)
-    along the polygon of ``_contour``, then down a ray at -pi/6 where the
-    cubic phase term decays.  The integrand is analytic between this contour
-    and the positive real axis, and the closing arcs vanish, so the
-    deformation is exact.  No damping exp(-eta tau) enters: the retarded
+    along the polygon of ``_contour``, then down a ray tau = t0 + y e^(-i pi/6)
+    where the cubic phase term decays.  The integrand is analytic between
+    this contour and the positive real axis, and the closing arcs vanish, so
+    the deformation is exact.  No damping exp(-eta tau) enters: the retarded
     prescription E + i0+ is carried by the contour leaving into the lower
     half tau-plane, and the integrand decays on the tail ray with eta = 0,
     so the eta -> 0 limit of the damped transform is this undamped integral
-    itself.  Each straight piece is one ``quad`` over its parameter in
-    [0, 1].
+    itself.  Each straight piece is one ``quad`` over its parameter in [0, 1].
+
+    The ray ends in closed form.  Its log magnitude is rho^2 Im tau/|tau|^2,
+    <= 0 since every contour ends on or below the real axis, plus
+    Re i(a tau - tau^3/12), a real cubic in y with leading coefficient -1/12.
+    Past the cubic's largest root at base - 42 (base: the log magnitude at
+    t0, at least 0) the integrand stays below e^(base - 42).
     """
     path = _contour(rho, a)
-    e_tail = cmath.exp(-1j * _THETA_TAIL)
+    t0, e = path[-1], cmath.exp(-1j * _THETA_TAIL)
+    base = max(_phase(t0, rho, a).real, 0.0)
+    cubic = (1j * np.array([-e**3 / 12.0, -e * e * t0 / 4.0, a * e - e * t0 * t0 / 4.0,
+                            a * t0 - t0**3 / 12.0])).real - [0.0, 0.0, 0.0, base - 42.0]
+    if not np.all(np.isfinite(cubic)):
+        raise ConvergenceError(f"green oracle: phase not finite at the contour tail "
+                               f"(rho = {rho:.6g}, a = {a:.6g})")
+    y_hi = np.roots(cubic).real.max()
+    if y_hi > 0.0:
+        path.append(t0 + y_hi * e)
 
-    def log_mag(y):
-        return _phase(path[-1] + y * e_tail, rho, a).real
-
-    y_hi = 5.0
-    base = max(log_mag(0.0), 0.0)
-    for _ in range(_TAIL_GROWTHS):
-        if log_mag(y_hi) <= base - 42.0:    # a NaN never counts as decayed
-            break
-        y_hi *= 1.6
-    else:
-        raise ConvergenceError(
-            f"green oracle: the contour tail has not decayed by e^-42 at "
-            f"y = {y_hi:.4g} (rho = {rho:.6g}, a = {a:.6g})"
-        )
-    path.append(path[-1] + y_hi * e_tail)
-
-    total, total_err = 0j, 0.0
-    for z0, z1 in zip(path[:-1], path[1:]):
-        dz = z1 - z0
-        val, err = quad(lambda s: _integrand(z0 + s * dz, rho, a) * dz,
-                        0.0, 1.0, limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-11)
-        total += val
-        total_err += err
-    return total, total_err
+    pieces = [quad(lambda s, z0=z0, dz=z1 - z0: _integrand(z0 + s * dz, rho, a) * dz,
+                   0.0, 1.0, limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-11)
+              for z0, z1 in zip(path, path[1:])]
+    return sum(val for val, _ in pieces), sum(err for _, err in pieces)
 
 
 def green_oracle(sys: PhysicalSystem, r, r_src, energy: float) -> GreenValue:
@@ -233,10 +224,7 @@ def green_oracle(sys: PhysicalSystem, r, r_src, energy: float) -> GreenValue:
     a = -(eps - zsum)         # i a tau phase term, a = zeta_rel - eps_shifted
     g, err = _g_time_scaled(rho_d, a)
     if err > 1e-8:
-        raise ConvergenceError(
-            f"green_oracle: quadrature error estimate {err:.3e} above the "
-            "1e-8 budget (scaled units)",
-            estimate=err,
-        )
+        raise ConvergenceError(f"green_oracle: quadrature error estimate {err:.3e} above the "
+                               "1e-8 budget (scaled units)", estimate=err)
     si = sys.beta * sys.beta_f**3
     return GreenValue(mantissa=g, log_scale=0.0, si_factor=si, error_estimate=err)

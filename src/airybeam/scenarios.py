@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .output import RasterImage, ScanResult
 from .scaling import (ELECTRON_MASS, G_EARTH, RB87_MASS, PhysicalSystem,
                       energy_from_ev, energy_from_frequency, force_from_ev_per_m,
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _IMAGE_ROWS = 128   # quadrant rows interpolated per block in detector_image
+_MAX_POINTS = np.iinfo(np.intp).max // 8    # float64 values one array can hold
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,8 @@ def grid(lo: float, hi: float, n: int) -> np.ndarray:
     """``n`` >= 2 evenly spaced points from ``lo`` to ``hi`` > ``lo``."""
     if n < 2:
         raise DomainError(f"grid needs at least 2 points, got {n}")
+    if n > _MAX_POINTS:
+        raise RangeError(f"grid: {n} points are more than one array can hold")
     if not lo < hi:
         raise DomainError(f"grid minimum {lo} must be below maximum {hi}")
     return np.linspace(lo, hi, n)
@@ -268,6 +271,8 @@ def detector_image(preset, half_width: float | None = None,
     """
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
+    if resolution > math.isqrt(_MAX_POINTS):
+        raise RangeError(f"detector_image: {resolution}^2 pixels are more than one array can hold")
     energy, z = preset.plane
     sys = preset.system
     half_width = detector_half_width(preset, half_width)

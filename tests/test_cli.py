@@ -490,6 +490,36 @@ def test_config_switch_matches_flag(tmp_path):
     assert_allclose(read_csv(tmp_path / "off.csv")[0], -x_flag[::-1], rtol=0)
 
 
+@pytest.mark.parametrize("value", [False, True, 1, "1um", None, ["1um"]],
+                         ids=["false", "true", "number", "string", "null", "list"])
+@pytest.mark.parametrize("key", ["bogus", "flip_detuning"])
+def test_config_key_of_no_flag_exits_2(tmp_path, key, value):
+    # total-current has no --bogus and no --flip-detuning, whatever the value
+    with pytest.raises(SystemExit) as exc:
+        _main_with_config(tmp_path, {key: value},
+                          ["total-current", "--n", "5", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["n", "emin", "preset"])
+def test_config_false_for_a_valued_flag_exits_2(tmp_path, key, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _main_with_config(tmp_path, {key: False},
+                          ["total-current", "--n", "5", "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"false for --{key}, no switch of total-current" in capsys.readouterr().err
+
+
+def test_config_false_switch_is_off(tmp_path):
+    # the same bytes as without the key
+    argv = ["atom-laser", "--n", "11"]
+    assert main(argv + ["-o", str(tmp_path / "plain.csv")]) == 0
+    assert _main_with_config(tmp_path, {"flip_detuning": False},
+                             argv + ["-o", str(tmp_path / "off.csv")]) == 0
+    assert (tmp_path / "off.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                          ids=["missing", "invalid", "not-an-object"])
 def test_bad_config_file_exits_2(tmp_path, content):
@@ -706,6 +736,19 @@ def test_transition_area_ratios_do_not_depend_on_the_window(tmp_path, capsys):
     ratios = re.search(r"area ratios = ([0-9., ]+) \(", line).group(1).split(", ")
     assert len(ratios) == 4
     assert all(abs(float(r) - 1.0) <= 5e-3 for r in ratios), line
+
+
+@pytest.mark.parametrize("n", ["100000000000000000000", "9223372036854775807"],
+                         ids=["1e20", "int64-max"])
+@pytest.mark.parametrize("command", ["total-current", "density-profile", "detector-image",
+                                     "atom-laser", "transition"])
+def test_huge_point_count_exits_1(tmp_path, command, n, capsys):
+    # more points than one array can hold: a RangeError naming the count
+    assert main([command, "--n", n, "-o", str(tmp_path / "x.out")]) == 1
+    err = capsys.readouterr().err
+    assert n in err and "more than one array can hold" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("width", ["1e60m", "1e80m"])

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -65,15 +64,41 @@ def test_oracle_error_estimate_bounds_the_gap(unit_system):
         assert abs(go.scaled - gc.scaled) <= go.error_estimate
 
 
-@pytest.mark.parametrize("phase", [0j, complex(math.nan, math.nan)])
-def test_oracle_tail_search_is_bounded(monkeypatch, phase):
-    # a contour phase that never decays (or is NaN) ends the tail search
-    # with an error instead of integrating a truncated tail
-    monkeypatch.setattr(airybeam.green, "_phase", lambda *args: phase)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ConvergenceError, match="not decayed"):
-            _g_time_scaled(1.0, 0.5)
+def test_oracle_tail_ends_past_the_decay(monkeypatch):
+    # from the tail ray's end y_hi on, log|integrand| stays at most base - 42
+    # (base: its exponent at the ray's start, at least 0); checked at
+    # y_hi * (1, 1.5, 3, 10) over seeded (rho, a) in all three saddle
+    # regimes, with the quadratures skipped: only the path counts
+    contour, paths = airybeam.green._contour, []
+
+    def recorded(rho, a):
+        paths.append(contour(rho, a))
+        return paths[-1]
+
+    monkeypatch.setattr(airybeam.green, "_contour", recorded)
+    monkeypatch.setattr(airybeam.green, "quad", lambda *args, **kwargs: (0j, 0.0))
+    rng = np.random.default_rng(33)
+    rhos = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+    regimes = set()
+    for rho, a in zip(rhos, rng.uniform(-300.0, 300.0, 2000)):
+        regimes.add(int(a >= rho) - int(a <= -rho))
+        _g_time_scaled(rho, a)
+        t0 = contour(rho, a)[-1]
+        base = max(airybeam.green._phase(t0, rho, a).real, 0.0)
+        y_hi = abs(paths[-1][-1] - t0) or 1.0       # 1 where there is no tail
+        tau = t0 + y_hi * np.array([1.0, 1.5, 3.0, 10.0]) * np.exp(-1j * math.pi / 6)
+        log_mag = (airybeam.green._phase(tau, rho, a).real + math.log(2.0)
+                   - 1.5 * np.log(math.pi * abs(tau)))
+        assert np.all(log_mag <= base - 42.0), (rho, a)
+    assert regimes == {-1, 0, 1}
+
+
+def test_oracle_nan_phase_raises(monkeypatch):
+    # a NaN phase at the tail's start ends the oracle with a ConvergenceError
+    # (not a LinAlgError from the tail's root finding)
+    monkeypatch.setattr(airybeam.green, "_phase", lambda *args: complex(math.nan, math.nan))
+    with pytest.raises(ConvergenceError):
+        _g_time_scaled(1.0, 0.5)
 
 
 @pytest.mark.parametrize("rho, a", [(3.0, -8.0), (5.0, -5.5), (5.5, -4.7),

@@ -60,7 +60,9 @@ def test_a_traceback_on_stderr_is_reported(monkeypatch, capsys):
 def test_only_the_usage_error_and_the_rejected_input_expect_a_failure():
     failing = {c.argv: c.exit for c in parity.calls() if c.exit}
     assert failing == {("total-current", "--emin", "5", "-o", "bare.csv"): 2,
-                       ("detector-image", "--n", "0", "-o", "empty.pgm"): 1}
+                       ("total-current", "--config", "bogus.json", "-o", "bogus.csv"): 2,
+                       ("detector-image", "--n", "0", "-o", "empty.pgm"): 1,
+                       ("total-current", "--n", "100000000000000000000", "-o", "huge.csv"): 1}
 
 
 def _subcommand_formats():

@@ -19,10 +19,10 @@ to that tree's ``src`` and RuntimeWarnings made errors.  The list:
 * JSON images of each preset at n = 1, 2, 7, 8 and 1024, and of O- at 2048;
   PGM images at odd sizes that span several interpolated row blocks;
 * every scan as JSON, ``validate --suite all``, a ``--config`` file,
-  ``--version``, ``--help``, a usage error and an input the CLI rejects.
+  ``--version``, ``--help``, usage errors and inputs the CLI rejects.
 
 Each invocation on NEW must exit with the code its ``Call`` expects (0, but
-2 for the usage error and 1 for the rejected input) and print no traceback.
+2 for a usage error and 1 for a rejected input) and print no traceback.
 It must also give what it gives on OLD: the exit code, stdout, stderr (the
 tree's ``src`` path written as ``<src>``), the number of modules loaded and
 the SHA-256 of every file written are compared.  The script prints each
@@ -183,14 +183,18 @@ def calls() -> list[Call]:
         add("density-profile", "--preset", p, "--format", "json", "-o", f"dp-{p}.json")
     add("atom-laser", "--format", "json", "-o", "al.json")
     add("transition", "--format", "json", "-o", "tr.json")
-    # flags from a config file; help; a usage error (a bare number) and a
-    # rejected input (no pixels)
+    # flags from a config file; help; usage errors (a bare number, a config
+    # key of no flag) and rejected inputs (no pixels, more points than an
+    # array holds)
     add("total-current", "--config", "cfg.json", "-o", "cfg.csv",
         inputs=[("cfg.json", b'{"preset": "rb-atom-laser", "n": 17}')])
     add("--help")
     add("detector-image", "--help")
     add("total-current", "--emin", "5", "-o", "bare.csv", exit=2)
+    add("total-current", "--config", "bogus.json", "-o", "bogus.csv",
+        inputs=[("bogus.json", b'{"bogus": false}')], exit=2)
     add("detector-image", "--n", 0, "-o", "empty.pgm", exit=1)
+    add("total-current", "--n", 10**20, "-o", "huge.csv", exit=1)
     return list(dict.fromkeys(out))
 
 
