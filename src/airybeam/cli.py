@@ -18,7 +18,9 @@ with) is imported in that path.  Run as the process's program (``main()``
 without ``argv``), the CLI keeps the garbage collector off while it imports
 and freezes what the imports left: those objects live until the process
 exits, so no collection, automatic or at the interpreter's exit, walks
-them.  A call with ``argv`` leaves ``gc`` alone.
+them.  It runs BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set: its BLAS calls are small, and a pool costs
+start-up.  A call with ``argv`` leaves ``gc`` and ``os.environ`` alone.
 """
 
 from __future__ import annotations
@@ -426,26 +428,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap._negative_number_matcher = negative_value
     for sp in sub.choices.values():
         sp._negative_number_matcher = negative_value
+    ap.commands = sub.choices             # each subcommand's parser, by name
     return ap
 
 
-def _config_argv(args, parser) -> list[str]:
-    """The JSON file ``args.config`` as flag tokens: ``{"n": 17, "widths": ["1um"]}``
-    is ``--n 17 --widths 1um``; ``true`` sets a switch, ``false`` leaves one off."""
+def _config_argv(args, command) -> list[str]:
+    """The JSON file ``args.config`` as flag tokens of the subcommand parser
+    ``command``, which reports its errors: ``{"n": 17, "widths": ["1um"]}`` is
+    ``--n 17 --widths 1um``; ``true`` sets a switch, ``false`` leaves one off."""
     import json
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        parser.error(f"--config {args.config}: {exc}")
+        command.error(f"--config {args.config}: {exc}")
     if not isinstance(cfg, dict):
-        parser.error(f"--config {args.config}: expected a JSON object of flag values")
-    options = parser._subparsers._group_actions[0].choices[args.command]._option_string_actions
+        command.error(f"--config {args.config}: expected a JSON object of flag values")
     argv = []
     for key, val in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if val is False and getattr(options.get(flag), "nargs", None) != 0:
-            parser.error(f"--config {args.config}: false for {flag}, no switch of {args.command}")
+        if val is False and command.get_default(key.replace("-", "_")) is not False:
+            command.error(f"--config {args.config}: false for {flag}, no switch of {args.command}")
         if isinstance(val, bool):
             argv += [flag] * val
         elif isinstance(val, list):
@@ -459,6 +462,8 @@ def main(argv=None) -> int:
     program = argv is None
     if program:
         gc.disable()
+        if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"    # read when NumPy loads
     parser = build_parser()
     if program:
         gc.freeze()         # --version, --help and usage errors exit in parse_args
@@ -467,7 +472,8 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         # config flags go right after the subcommand: the command line wins
         at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_argv(args, parser) + argv[at:])
+        config = _config_argv(args, parser.commands[args.command])
+        args = parser.parse_args(argv[:at] + config + argv[at:])
     _bind_layers()
     if program:
         gc.freeze()         # the command collects over its own objects only

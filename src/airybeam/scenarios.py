@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .output import RasterImage, ScanResult
 from .scaling import (ELECTRON_MASS, G_EARTH, RB87_MASS, PhysicalSystem,
                       energy_from_ev, energy_from_frequency, force_from_ev_per_m,
@@ -217,7 +217,7 @@ def grid(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 2:
         raise DomainError(f"grid needs at least 2 points, got {n}")
     if n > _MAX_POINTS:
-        raise RangeError(f"grid: {n} points are more than one array can hold")
+        raise DomainError(f"grid: {n} points are more than one array can hold")
     if not lo < hi:
         raise DomainError(f"grid minimum {lo} must be below maximum {hi}")
     return np.linspace(lo, hi, n)
@@ -272,7 +272,7 @@ def detector_image(preset, half_width: float | None = None,
     if resolution <= 0:
         raise DomainError(f"detector_image: resolution must be positive, got {resolution}")
     if resolution > math.isqrt(_MAX_POINTS):
-        raise RangeError(f"detector_image: {resolution}^2 pixels are more than one array can hold")
+        raise DomainError(f"detector_image: {resolution}^2 pixels are more than one array can hold")
     energy, z = preset.plane
     sys = preset.system
     half_width = detector_half_width(preset, half_width)

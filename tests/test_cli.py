@@ -508,7 +508,9 @@ def test_config_false_for_a_valued_flag_exits_2(tmp_path, key, capsys):
         _main_with_config(tmp_path, {key: False},
                           ["total-current", "--n", "5", "-o", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert f"false for --{key}, no switch of total-current" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: airybeam total-current [-h]"), err
+    assert f"false for --{key}, no switch of total-current" in err
 
 
 def test_config_false_switch_is_off(tmp_path):
@@ -522,7 +524,7 @@ def test_config_false_switch_is_off(tmp_path):
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                          ids=["missing", "invalid", "not-an-object"])
-def test_bad_config_file_exits_2(tmp_path, content):
+def test_bad_config_file_exits_2(tmp_path, content, capsys):
     cfg = tmp_path / "cfg.json"
     if content is not None:
         cfg.write_text(content)
@@ -530,6 +532,10 @@ def test_bad_config_file_exits_2(tmp_path, content):
         main(["total-current", "--n", "5", "--config", str(cfg),
               "-o", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    # the subcommand's usage, as argparse's own errors for it (--n abc) print
+    err = capsys.readouterr().err
+    assert err.startswith("usage: airybeam total-current [-h]"), err
+    assert f"airybeam total-current: error: --config {cfg}: " in err
 
 
 @pytest.mark.parametrize("value", ["-1"])
@@ -743,10 +749,12 @@ def test_transition_area_ratios_do_not_depend_on_the_window(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["total-current", "density-profile", "detector-image",
                                      "atom-laser", "transition"])
 def test_huge_point_count_exits_1(tmp_path, command, n, capsys):
-    # more points than one array can hold: a RangeError naming the count
+    # more points than one array can hold: a DomainError naming the count,
+    # a refused input and not a numerical failure
     assert main([command, "--n", n, "-o", str(tmp_path / "x.out")]) == 1
     err = capsys.readouterr().err
     assert n in err and "more than one array can hold" in err
+    assert "numerical failure" not in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import airybeam.green
+import airybeam.validation
 from airybeam.errors import ConvergenceError, DomainError
-from airybeam.green import _g_time_scaled, green_closed, green_oracle
+from airybeam.green import GreenValue, _g_time_scaled, green_closed, green_oracle
 from airybeam.sources import PointSource, psi_point
 from airybeam.validation import oracle_agreement, oracle_panel
 
@@ -58,10 +59,65 @@ def test_closed_vs_oracle_shifted_source(unit_system):
 
 def test_oracle_error_estimate_bounds_the_gap(unit_system):
     # the quadrature's error estimate covers the distance to the closed form
-    for r, e in oracle_panel(unit_system, 10, seed=7):
-        go = green_oracle(unit_system, r, (0.0, 0.0, 0.0), e)
-        gc = green_closed(unit_system, r, (0.0, 0.0, 0.0), e)
+    r, energy = oracle_panel(unit_system, 10, seed=7)
+    for p, e in zip(r.T, energy):
+        go = green_oracle(unit_system, p, (0.0, 0.0, 0.0), e)
+        gc = green_closed(unit_system, p, (0.0, 0.0, 0.0), e)
         assert abs(go.scaled - gc.scaled) <= go.error_estimate
+
+
+# (x, y, z, E) of the first 20 points of the default-seed panel, as the
+# point-by-point redraw loop that the one-draw panel replaced gave them
+_PANEL_START = [
+    (0.023237503427701575, -0.10644345955318048, -0.023914813923789045, 4.217091498747063),
+    (0.45426398523888933, 0.8205924445915989, 0.27429949159455486, 3.330860633442004),
+    (0.5286229917894257, -0.5568051649441842, 0.6421279268748175, 3.1674700034786802),
+    (-1.0694235242233703, 1.602657576656138, -0.02765519528883489, 0.09719094837608368),
+    (0.36838282674419504, -0.1908483518726176, 0.08047184310299699, -3.182730724245198),
+    (-0.7021228115540068, -1.6588361403060623, -1.7622317230083975, 2.713444776263711),
+    (0.08669048709918312, -1.0344030226605623, -0.12976462256011126, -0.38343890716136575),
+    (0.398860383895051, 0.0837819030078047, -0.10783066883290417, -2.7637580063080502),
+    (0.10845176200405748, -0.6360037501021117, 0.8117382542091761, -0.09691160402839466),
+    (-0.12706076568989616, 0.4898818751180301, 1.0433150581734174, -0.6408395266702918),
+    (-0.609041415980761, 1.1302652851506514, 3.5586241289920246, -1.6376706249459343),
+    (2.5936037496830786, 5.431750254832142, 3.0414783857540155, 0.5314023453808152),
+    (-2.0407900532340504, -0.4176948266049792, 0.292428205368587, 2.637160343886679),
+    (-7.101477938202699, 0.5323718321606223, 2.299289885839343, 3.469199794175756),
+    (0.6941176223601992, -1.10698052354366, -1.1081299536963785, 2.7602213119422876),
+    (-0.04213458101044006, -0.016112026489097486, -0.171032698078726, 3.792574681389061),
+    (-0.8759271921537082, -5.192101361991984, -0.19212270155304564, 4.96818270191452),
+    (-4.681620633022556, 1.4287231632322244, -0.6084569929585301, 4.9917421004611775),
+    (-3.7626701175889203, 0.044686092291073766, 0.40530892377011163, 2.5221625848154434),
+    (-4.799216335314504, -3.894606661553955, -3.019117262554761, 3.3977409262044755),
+]
+
+
+def test_panel_is_the_frozen_draw(unit_system):
+    r, energy = oracle_panel(unit_system, 20)
+    assert np.array_equal(np.vstack([r, energy]).T, _PANEL_START)
+
+
+def test_smaller_panel_starts_the_larger(unit_system):
+    r20, e20 = oracle_panel(unit_system, 20)
+    r50, e50 = oracle_panel(unit_system, 50)
+    assert r20.shape == (3, 20) and e50.shape == (50,)
+    assert (r20 == r50[:, :20]).all() and (e20 == e50[:20]).all()
+
+
+def test_panel_that_no_point_passes_raises(unit_system, monkeypatch):
+    # |G| = 0 everywhere: one draw, then ConvergenceError, never a short panel
+    calls = []
+
+    def vanishing(sys, r, r_src, energy):
+        calls.append(energy)
+        if len(calls) > 3:
+            raise AssertionError("oracle_panel redraws point by point")
+        return GreenValue(np.zeros_like(np.asarray(energy, dtype=complex)), 0.0, 1.0)
+
+    monkeypatch.setattr(airybeam.validation, "green_closed", vanishing)
+    with pytest.raises(ConvergenceError, match="oracle_panel"):
+        oracle_panel(unit_system, 20)
+    assert len(calls) == 1
 
 
 def test_oracle_tail_ends_past_the_decay(monkeypatch):

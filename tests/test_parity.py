@@ -1,7 +1,6 @@
 """tools/parity.py on synthetic records, no subprocess: what it reports, and
 that its invocation list, the only one CI runs, covers the CLI."""
 
-import argparse
 import importlib.util
 from pathlib import Path
 
@@ -61,16 +60,16 @@ def test_only_the_usage_error_and_the_rejected_input_expect_a_failure():
     failing = {c.argv: c.exit for c in parity.calls() if c.exit}
     assert failing == {("total-current", "--emin", "5", "-o", "bare.csv"): 2,
                        ("total-current", "--config", "bogus.json", "-o", "bogus.csv"): 2,
+                       ("total-current", "--config", "list.json", "-o", "list.csv"): 2,
                        ("detector-image", "--n", "0", "-o", "empty.pgm"): 1,
-                       ("total-current", "--n", "100000000000000000000", "-o", "huge.csv"): 1}
+                       ("total-current", "--n", "100000000000000000000", "-o", "huge.csv"): 1,
+                       ("detector-image", "--n", "2000000000", "-o", "huge.pgm"): 1}
 
 
 def _subcommand_formats():
     """Each (subcommand, --format choice) of the parser; (subcommand, None)
     for one without ``--format``."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sp in sub.choices.items():
+    for name, sp in cli.build_parser().commands.items():
         formats = next((a.choices for a in sp._actions if "--format" in a.option_strings),
                        (None,))
         for fmt in formats:

@@ -6,7 +6,8 @@ fresh-process tests here check that the paths computing nothing leave NumPy
 unloaded, that the lazy namespace matches the modules that define each name,
 and that the benchmark's tracer, which wraps ``airybeam.cli`` globals by
 name, still sees every call.  ``main()`` run as the process's program takes
-over the garbage collector; ``main(argv)`` leaves it as it was.
+over the garbage collector and runs BLAS on one thread; ``main(argv)`` leaves
+the collector and the environment as they were.
 """
 
 import gc
@@ -140,6 +141,45 @@ def test_program_computes_with_the_collector_on_over_its_own_objects(
                    for on, frozen in seen), (name, seen)
     assert runs["program"] == runs["library"]
     assert runs["program"][0] == code and "Traceback" not in runs["program"][2]
+
+
+# runs the CLI as the console script does and records, at exit, this
+# process's thread count and the OPENBLAS_NUM_THREADS it ran with
+_THREADS_PROBE = """import atexit, json, os, sys
+from airybeam import cli
+record = sys.argv.pop(1)
+atexit.register(lambda: open(record, "w").write(json.dumps(
+    [len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")])))
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-set"])
+def test_program_runs_blas_on_one_thread_unless_told(tmp_path, caller):
+    env = {k: v for k, v in ENV.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    record = tmp_path / "threads.json"
+    run = subprocess.run([sys.executable, "-c", _THREADS_PROBE, str(record),
+                          "total-current", "--n", "20", "-o", "t.csv"],
+                         env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    threads, setting = json.loads(record.read_text())
+    assert setting == (caller or "1")
+    if caller is None:
+        assert threads == 1
+
+
+def test_library_calls_leave_the_environment_alone(tmp_path, monkeypatch):
+    from airybeam.cli import main
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["total-current", "--n", "20", "-o", "t.csv"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_package_import_leaves_numpy_unloaded():

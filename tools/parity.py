@@ -18,8 +18,9 @@ to that tree's ``src`` and RuntimeWarnings made errors.  The list:
 * both benchmark workloads at seeds 1-3, read from ``perfbench/workloads.py``;
 * JSON images of each preset at n = 1, 2, 7, 8 and 1024, and of O- at 2048;
   PGM images at odd sizes that span several interpolated row blocks;
-* every scan as JSON, ``validate --suite all``, a ``--config`` file,
-  ``--version``, ``--help``, usage errors and inputs the CLI rejects.
+* every scan as JSON, ``validate --suite all`` and ``--suite oracle``, a
+  ``--config`` file, ``--version``, ``--help``, usage errors and inputs the
+  CLI rejects.
 
 Each invocation on NEW must exit with the code its ``Call`` expects (0, but
 2 for a usage error and 1 for a rejected input) and print no traceback.
@@ -139,8 +140,9 @@ def calls() -> list[Call]:
         "--n", 21, "-o", "tc-off-window.csv", outdir=True)
     add("transition", "--numin", "20kHz", "--numax", "30kHz", "--n", 21,
         "-o", "tr-off-window.csv", outdir=True)
-    # flux through two planes of O- and of the Rb preset
+    # flux through two planes of O- and of the Rb preset; the oracle panel alone
     add("validate", "--suite", "flux", outdir=True)
+    add("validate", "--suite", "oracle", outdir=True)
     # overlay models of both preset kinds, each the main output's own function
     overlays = (_OV_HZ, _OV_J, _OV_BOM)
     add("total-current", "--preset", "rb-atom-laser", "--n", 21, "--overlay", "ov-hz.csv",
@@ -184,8 +186,8 @@ def calls() -> list[Call]:
     add("atom-laser", "--format", "json", "-o", "al.json")
     add("transition", "--format", "json", "-o", "tr.json")
     # flags from a config file; help; usage errors (a bare number, a config
-    # key of no flag) and rejected inputs (no pixels, more points than an
-    # array holds)
+    # key of no flag, a config that is no JSON object) and rejected inputs
+    # (no pixels, more points or pixels than an array holds)
     add("total-current", "--config", "cfg.json", "-o", "cfg.csv",
         inputs=[("cfg.json", b'{"preset": "rb-atom-laser", "n": 17}')])
     add("--help")
@@ -193,8 +195,11 @@ def calls() -> list[Call]:
     add("total-current", "--emin", "5", "-o", "bare.csv", exit=2)
     add("total-current", "--config", "bogus.json", "-o", "bogus.csv",
         inputs=[("bogus.json", b'{"bogus": false}')], exit=2)
+    add("total-current", "--config", "list.json", "-o", "list.csv",
+        inputs=[("list.json", b'["--n", "17"]')], exit=2)
     add("detector-image", "--n", 0, "-o", "empty.pgm", exit=1)
     add("total-current", "--n", 10**20, "-o", "huge.csv", exit=1)
+    add("detector-image", "--n", 2 * 10**9, "-o", "huge.pgm", exit=1)
     return list(dict.fromkeys(out))
 
 
