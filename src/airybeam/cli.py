@@ -61,10 +61,17 @@ def __getattr__(name):
 _UNIT_RE = re.compile(r"^\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*"
                       r"(?![eE][+-]?[0-9])([^\s0-9][^\s]*)\s*$")
 
-_ENERGY = {"neV": 1e-9, "ueV": 1e-6, "meV": 1e-3, "eV": 1.0}
-_LENGTH = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
-_TIME = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-_FREQ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6}
+# each unit kind: its suffixes and their factors to SI.  An energy in an
+# eV-family unit is then multiplied by e, one in a Hz-family unit by 2 pi hbar;
+# a field stays in eV/m per unit charge (the presets convert it)
+_UNITS = {
+    "energy": {"J": 1.0, "neV": 1e-9, "ueV": 1e-6, "meV": 1e-3, "eV": 1.0,
+               "Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
+    "length": {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0},
+    "time": {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0},
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
+    "field": {"eV/m": 1.0, "V/m": 1.0},
+}
 
 
 def _finite_float(text: str) -> float:
@@ -78,59 +85,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _si_value(value: float, unit: str, kind: str) -> float | None:
-    """``value`` in ``unit`` converted to SI; None for a unit ``kind`` lacks."""
-    if kind == "energy":
-        from .scaling import energy_from_ev, energy_from_frequency
-        if unit == "J":
-            return value
-        if unit in _ENERGY:
-            return energy_from_ev(value * _ENERGY[unit])
-        if unit in _FREQ:                     # E = 2*pi*hbar*nu
-            return energy_from_frequency(value * _FREQ[unit])
-    elif kind == "length" and unit in _LENGTH:
-        return value * _LENGTH[unit]
-    elif kind == "time" and unit in _TIME:
-        return value * _TIME[unit]
-    elif kind == "frequency" and unit in _FREQ:
-        return value * _FREQ[unit]
-    elif kind == "field" and unit in ("eV/m", "V/m"):
-        return value                          # eV/m per unit charge; presets convert
-    return None
+def _unit(kind: str):
+    """The argparse type of a ``kind`` flag: a number and a suffix of
+    ``_UNITS[kind]``, read as its value in SI."""
+    factors = _UNITS[kind]
+
+    def parse(text: str) -> float:
+        m = _UNIT_RE.match(text)
+        if not m:
+            raise argparse.ArgumentTypeError(
+                f"{kind} value {text!r} needs a unit suffix (bare numbers are rejected)")
+        unit = m.group(2)
+        if unit not in factors:
+            raise argparse.ArgumentTypeError(f"unknown {kind} unit {unit!r} in {text!r}")
+        value = float(m.group(1)) * factors[unit]
+        if kind == "energy" and unit != "J":
+            from . import scaling
+            value = (scaling.energy_from_ev if unit.endswith("eV")
+                     else scaling.energy_from_frequency)(value)
+        if not math.isfinite(value):          # e.g. 1e999um, or 1e305MHz
+            raise argparse.ArgumentTypeError(f"{kind} value {text!r} is not finite")
+        return value
+    return parse
 
 
-def _parse_with_units(text: str, kind: str) -> float:
-    m = _UNIT_RE.match(text)
-    if not m:
-        raise argparse.ArgumentTypeError(
-            f"{kind} value {text!r} needs a unit suffix (bare numbers are rejected)"
-        )
-    value = _si_value(float(m.group(1)), m.group(2), kind)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"unknown {kind} unit {m.group(2)!r} in {text!r}")
-    if not math.isfinite(value):              # e.g. 1e999um, or 1e305MHz
-        raise argparse.ArgumentTypeError(f"{kind} value {text!r} is not finite")
-    return value
-
-
-def _energy(text):
-    return _parse_with_units(text, "energy")
-
-
-def _length(text):
-    return _parse_with_units(text, "length")
-
-
-def _time(text):
-    return _parse_with_units(text, "time")
-
-
-def _frequency(text):
-    return _parse_with_units(text, "frequency")
-
-
-def _field(text):
-    return _parse_with_units(text, "field")
+_energy, _length, _time, _frequency, _field = map(_unit, _UNITS)     # in _UNITS' order
 
 
 def _width_tag(width: float) -> str:
@@ -479,7 +458,7 @@ def main(argv=None) -> int:
         gc.freeze()         # the command collects over its own objects only
         gc.enable()
     try:
-        preset = _preset(args, parser) if hasattr(args, "preset") else None
+        preset = _preset(args, parser.commands[args.command]) if hasattr(args, "preset") else None
         return args.fn(args, preset)
     except (ConvergenceError, RangeError) as exc:
         est = getattr(exc, "estimate", None)

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -424,13 +426,15 @@ def _outputs(tmp_path, stem):
 
 
 @pytest.mark.parametrize("command,preset,flag", _CASES)
-def test_preset_flag_applies_or_exits_2(tmp_path, command, preset, flag):
+def test_preset_flag_applies_or_exits_2(tmp_path, capsys, command, preset, flag):
     base = [command, "--preset", preset, *_COMMANDS[command][2]]
     argv = base + [f"--{flag}", _FLAG_VALUES[flag], "-o", str(tmp_path / "flag.out")]
     if flag not in _APPLIES[preset]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        # the subcommand's usage line, as its other usage errors print
+        assert capsys.readouterr().err.startswith(f"usage: airybeam {command} ")
         return
     assert main(argv) == 0
     assert main(base + ["-o", str(tmp_path / "base.out")]) == 0
@@ -564,6 +568,90 @@ def test_non_finite_flag_exits_2(tmp_path, argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}:" in err and "not finite" in err
+
+
+# float.hex of each unit kind's parse of 1.25, -3e-2 and 7 in each suffix,
+# frozen from the parser that kept a dictionary per kind and a chain of
+# conversions keyed by kind: the table must give the same doubles
+_UNIT_VALUES = ("1.25", "-3e-2", "7")
+_FROZEN_SI = {
+    ("energy", "J"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6", "0x1.c000000000000p+2"),
+    ("energy", "neV"): ("0x1.fbc002d06bc4bp-93", "-0x1.85f3b86eea517p-98",
+                        "0x1.636ccec5183cfp-90"),
+    ("energy", "ueV"): ("0x1.efd982bf893e1p-83", "-0x1.7cd0021c50d38p-88",
+                        "0x1.5b1841ec79ab7p-80"),
+    ("energy", "meV"): ("0x1.e43a69af0c06ap-73", "-0x1.73e3220fa6ee9p-78",
+                        "0x1.52f5b060eed17p-70"),
+    ("energy", "eV"): ("0x1.d8e10b34f1be8p-63", "-0x1.6b2bcf434904fp-68",
+                       "0x1.4b03ee3ea9389p-60"),
+    ("energy", "Hz"): ("0x1.133c76a9419a5p-110", "-0x1.a6c3459fa0286p-116",
+                       "0x1.8154a62028a4dp-108"),
+    ("energy", "kHz"): ("0x1.0cc90be14a10bp-100", "-0x1.9cdab1fde2677p-106",
+                        "0x1.784caa3b67b0fp-98"),
+    ("energy", "MHz"): ("0x1.067c559a02545p-90", "-0x1.932d91d1ef190p-96",
+                        "0x1.6f7ade3e0342dp-88"),
+    ("length", "nm"): ("0x1.5798ee2308c3ap-30", "-0x1.07e1fe91b0b70p-35",
+                       "0x1.e1094d643f785p-28"),
+    ("length", "um"): ("0x1.4f8b588e368f0p-20", "-0x1.01b2b29a4692bp-25",
+                       "0x1.d5c31593e5fb7p-18"),
+    ("length", "mm"): ("0x1.47ae147ae147bp-10", "-0x1.f75104d551d69p-16",
+                       "0x1.cac083126e979p-8"),
+    ("length", "cm"): ("0x1.999999999999ap-7", "-0x1.3a92a30553261p-12", "0x1.1eb851eb851ecp-4"),
+    ("length", "m"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6", "0x1.c000000000000p+2"),
+    ("time", "ns"): ("0x1.5798ee2308c3ap-30", "-0x1.07e1fe91b0b70p-35", "0x1.e1094d643f785p-28"),
+    ("time", "us"): ("0x1.4f8b588e368f0p-20", "-0x1.01b2b29a4692bp-25", "0x1.d5c31593e5fb7p-18"),
+    ("time", "ms"): ("0x1.47ae147ae147bp-10", "-0x1.f75104d551d69p-16", "0x1.cac083126e979p-8"),
+    ("time", "s"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6", "0x1.c000000000000p+2"),
+    ("frequency", "Hz"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6",
+                          "0x1.c000000000000p+2"),
+    ("frequency", "kHz"): ("0x1.3880000000000p+10", "-0x1.e000000000000p+4",
+                           "0x1.b580000000000p+12"),
+    ("frequency", "MHz"): ("0x1.312d000000000p+20", "-0x1.d4c0000000000p+14",
+                           "0x1.ab3f000000000p+22"),
+    ("field", "eV/m"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6", "0x1.c000000000000p+2"),
+    ("field", "V/m"): ("0x1.4000000000000p+0", "-0x1.eb851eb851eb8p-6", "0x1.c000000000000p+2"),
+}
+_UNIT_PAIRS = sorted(set(_FROZEN_SI)
+                     | {(kind, sfx) for kind, factors in cli._UNITS.items() for sfx in factors})
+
+
+@pytest.mark.parametrize("kind,suffix", _UNIT_PAIRS, ids=["-".join(p) for p in _UNIT_PAIRS])
+def test_unit_conversions_are_frozen(kind, suffix):
+    # a pair in only one of the table and the frozen values fails here
+    assert suffix in cli._UNITS[kind]
+    got = tuple(getattr(cli, f"_{kind}")(v + suffix).hex() for v in _UNIT_VALUES)
+    assert got == _FROZEN_SI[kind, suffix]
+
+
+@pytest.mark.parametrize("kind", list(cli._UNITS))
+def test_unit_error_messages_keep_their_words(kind):
+    sfx = next(iter(cli._UNITS[kind]))
+    for text, words in (
+            ("5", f"{kind} value '5' needs a unit suffix (bare numbers are rejected)"),
+            ("3furlongs", f"unknown {kind} unit 'furlongs' in '3furlongs'"),
+            (f"1e999{sfx}", f"{kind} value '1e999{sfx}' is not finite")):
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            cli._unit(kind)(text)
+        assert str(exc.value) == words
+
+
+def test_readme_unit_table_lists_the_units():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("| Unit kind |", 1)[1]
+    rows = itertools.takewhile(lambda line: line.startswith("|"), section.splitlines()[2:])
+    table = {}
+    for row in rows:
+        kind, sfx, flags = row.strip("|").split("|")
+        table[kind.strip()] = (re.findall(r"`([^`]+)`", sfx),
+                               set(re.findall(r"`([^`]+)`", flags)))
+    types = {getattr(cli, f"_{kind}"): kind for kind in cli._UNITS}
+    flags = {kind: set() for kind in cli._UNITS}
+    for sp in cli.build_parser().commands.values():
+        for action in sp._actions:
+            if action.type in types:
+                flags[types[action.type]].update(action.option_strings)
+    assert table == {kind: (list(factors), flags[kind])
+                     for kind, factors in cli._UNITS.items()}
 
 
 def test_negative_image_half_width_exits_1(tmp_path, capsys):

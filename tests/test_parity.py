@@ -61,6 +61,8 @@ def test_only_the_usage_error_and_the_rejected_input_expect_a_failure():
     assert failing == {("total-current", "--emin", "5", "-o", "bare.csv"): 2,
                        ("total-current", "--config", "bogus.json", "-o", "bogus.csv"): 2,
                        ("total-current", "--config", "list.json", "-o", "list.csv"): 2,
+                       ("total-current", "--preset", "s-minus", "--width", "1um",
+                        "-o", "width.csv"): 2,
                        ("detector-image", "--n", "0", "-o", "empty.pgm"): 1,
                        ("total-current", "--n", "100000000000000000000", "-o", "huge.csv"): 1,
                        ("detector-image", "--n", "2000000000", "-o", "huge.pgm"): 1}
@@ -90,3 +92,26 @@ def test_every_subcommand_and_format_is_in_the_invocation_list(capsys):
     assert len(wanted) >= 11
     assert wanted <= covered, sorted(wanted - covered)
 
+
+def _unit_suffixes(call, parser):
+    """Each (unit kind, suffix) one invocation gives a flag, the kind read
+    from the flag's argparse type."""
+    commands = parser.commands
+    if not call.argv or call.argv[0] not in commands:
+        return
+    kinds = {getattr(cli, f"_{kind}"): kind for kind in cli._UNITS}
+    types = {option: action.type for action in commands[call.argv[0]]._actions
+             for option in action.option_strings}
+    for flag, text in zip(call.argv, call.argv[1:]):
+        kind = kinds.get(types.get(flag))
+        match = cli._UNIT_RE.match(text)
+        if kind is not None and match:          # not the bare-number usage error
+            yield kind, match.group(2)
+
+
+def test_every_unit_suffix_is_in_the_invocation_list():
+    parser = cli.build_parser()
+    covered = {pair for call in parity.calls() for pair in _unit_suffixes(call, parser)}
+    wanted = {(kind, suffix) for kind, factors in cli._UNITS.items() for suffix in factors}
+    assert len(wanted) == 22
+    assert wanted <= covered, sorted(wanted - covered)

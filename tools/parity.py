@@ -15,6 +15,7 @@ to that tree's ``src`` and RuntimeWarnings made errors.  The list:
   regimes of the paper at their edges: wide and narrow condensates, deep
   tunnelling, scan windows far from the peak, flux through two planes,
   overlays;
+* every unit suffix a dimensioned flag takes, at physical values;
 * both benchmark workloads at seeds 1-3, read from ``perfbench/workloads.py``;
 * JSON images of each preset at n = 1, 2, 7, 8 and 1024, and of O- at 2048;
   PGM images at odd sizes that span several interpolated row blocks;
@@ -143,6 +144,24 @@ def calls() -> list[Call]:
     # flux through two planes of O- and of the Rb preset; the oracle panel alone
     add("validate", "--suite", "flux", outdir=True)
     add("validate", "--suite", "oracle", outdir=True)
+    # every suffix of every unit kind at least once, at the presets' own
+    # values or near them: -50 ueV to 0.3 meV, 24.3 GHz = 100.5 ueV, 20 ms
+    add("total-current", "--preset", "s-minus", "--emin", "-50000neV", "--emax", "0.3meV",
+        "--n", 21, "-o", "tc-nev-mev.csv", outdir=True)
+    add("total-current", "--preset", "o-minus", "--emin", "-3.2e-24J", "--emax", "3e-4eV",
+        "--n", 21, "-o", "tc-j-ev.csv", outdir=True)
+    add("total-current", "--preset", "s-minus", "--emin", "-12000MHz", "--emax", "72000000kHz",
+        "--n", 21, "-o", "tc-mhz-khz.csv", outdir=True)
+    add("density-profile", "--preset", "o-minus", "--energy", "24300000000Hz", "--field",
+        "423V/m", "--z", "51.4cm", "--n", 21, "-o", "dp-hz-vm-cm.csv", outdir=True)
+    add("detector-image", "--preset", "o-minus", "--field", "423eV/m", "--n", 15,
+        "--format", "json", "-o", "di-evm.json", outdir=True)
+    add("density-profile", "--preset", "rb-atom-laser", "--width", "400nm", "--z", "700um",
+        "--nu", "0.0025MHz", "--n", 21, "-o", "dp-nm-um-mhz.csv", outdir=True)
+    add("atom-laser", "--time", "20000000ns", "--n", 21, "-o", "al-ns.csv", outdir=True)
+    add("atom-laser", "--time", "20000us", "--omega", "0.105585kHz", "--n", 21,
+        "-o", "al-us-khz.csv", outdir=True)
+    add("atom-laser", "--time", "0.02s", "--n", 21, "-o", "al-s.csv", outdir=True)
     # overlay models of both preset kinds, each the main output's own function
     overlays = (_OV_HZ, _OV_J, _OV_BOM)
     add("total-current", "--preset", "rb-atom-laser", "--n", 21, "--overlay", "ov-hz.csv",
@@ -186,8 +205,9 @@ def calls() -> list[Call]:
     add("atom-laser", "--format", "json", "-o", "al.json")
     add("transition", "--format", "json", "-o", "tr.json")
     # flags from a config file; help; usage errors (a bare number, a config
-    # key of no flag, a config that is no JSON object) and rejected inputs
-    # (no pixels, more points or pixels than an array holds)
+    # key of no flag, a config that is no JSON object, a preset flag the
+    # preset has no field for) and rejected inputs (no pixels, more points
+    # or pixels than an array holds)
     add("total-current", "--config", "cfg.json", "-o", "cfg.csv",
         inputs=[("cfg.json", b'{"preset": "rb-atom-laser", "n": 17}')])
     add("--help")
@@ -197,6 +217,7 @@ def calls() -> list[Call]:
         inputs=[("bogus.json", b'{"bogus": false}')], exit=2)
     add("total-current", "--config", "list.json", "-o", "list.csv",
         inputs=[("list.json", b'["--n", "17"]')], exit=2)
+    add("total-current", "--preset", "s-minus", "--width", "1um", "-o", "width.csv", exit=2)
     add("detector-image", "--n", 0, "-o", "empty.pgm", exit=1)
     add("total-current", "--n", 10**20, "-o", "huge.csv", exit=1)
     add("detector-image", "--n", 2 * 10**9, "-o", "huge.pgm", exit=1)
